@@ -57,41 +57,9 @@ def _report(theorem_id, hyps, lhs, rhs, witness, sampled=False, extra_ok=True):
     return BoundReport(theorem_id, hyps, lhs, rhs, holds, rhs - lhs, witness, status)
 
 
-def _colon(J, I):
-    if isinstance(J, monomial.MonomialIdeal):
-        return monomial.colon(J, I)
-    if isinstance(J, semigroup.SemigroupIdeal):
-        return semigroup.colon(J, I)
-    return groebner.colon_ideal(J, I)
-
-
-def _colon_colength(ctx, Q, I):
-    """lam(R/(Q:I)) computed in the engine of Q."""
-    if isinstance(Q, groebner.GroebnerIdeal):
-        Ig = invariants.to_groebner(ctx, I)
-        return groebner.local_colength(groebner.colon_ideal(Q, Ig))
-    return invariants.colength_of(_colon(Q, I))
-
-
 def _extra_generator_count(I, J):
     """nu(I/J): minimal generators of I that J does not already provide."""
-    return sum(1 for g in I.gens if not _member(J, g))
-
-
-def _member(J, g):
-    if isinstance(J, monomial.MonomialIdeal):
-        return J.contains_monomial(g)
-    if isinstance(J, semigroup.SemigroupIdeal):
-        return J.contains(g)
-    return J.contains({g: 1})
-
-
-def _integral_over(J, h):
-    """h integral over J (membership in the integral closure of J)."""
-    if isinstance(J, semigroup.SemigroupIdeal):
-        return h >= min(J.gens) and J.ambient.contains(h)
-    NP = monomial.newton(J)
-    return monomial.np_contains(NP, h)
+    return sum(1 for g in I.gens if not J.member(g))
 
 
 def _is_gorenstein(ctx):
@@ -103,12 +71,12 @@ def _is_gorenstein(ctx):
 def check_thm_2_2(ctx, J, I):
     """e0(J) - e0(I) <= lam(R/(J:I)) * f0(J), for I = J plus one generator."""
     hyps = [
-        ("J_subset_I", invariants.contains_of(I, J)),
+        ("J_subset_I", I.contains_ideal(J)),
         ("one_extra_generator", _extra_generator_count(I, J) <= 1),
     ]
     e0_j = invariants.hilbert_coeffs(ctx, J).e[0]
     e0_i = invariants.hilbert_coeffs(ctx, I).e[0]
-    lam = _colon_colength(ctx, J, I)
+    lam = J.colon(I).colength()
     f0 = invariants.fiber_coeffs(ctx, J).f[0]
     witness = {"e0_J": e0_j, "e0_I": e0_i, "colon_colength": lam, "f0_J": f0}
     return _report("thm_2_2", hyps, e0_j - e0_i, lam * f0, witness)
@@ -116,18 +84,15 @@ def check_thm_2_2(ctx, J, I):
 
 def check_thm_2_3(ctx, J, h):
     """e1(I) - e1(J) <= red_J(I) * lam(R/(J:I)) * f0(J) for I = (J, h)."""
-    integral = _integral_over(J, h)
+    integral = J.integral_over(h)
     hyps = [("h_integral_over_J", integral)]
     if not integral:
         return _report("thm_2_3", hyps, 0, 0, {"reason": "h not integral over J"})
-    if isinstance(J, semigroup.SemigroupIdeal):
-        I = semigroup.sum_ideals(J, semigroup.ideal(J.ambient, [h]))
-    else:
-        I = monomial.sum_ideals(J, monomial.minimalize(J.dim, [h]))
+    I = J.extend([h])
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
     red = invariants.reduction_number(ctx, J, I)
-    lam = _colon_colength(ctx, J, I)
+    lam = J.colon(I).colength()
     f0 = invariants.fiber_coeffs(ctx, J).f[0]
     witness = {"e1_I": e1_i, "e1_J": e1_j, "red_J_I": red,
                "colon_colength": lam, "f0_J": f0, "h": list(h) if not isinstance(h, int) else h}
@@ -141,14 +106,12 @@ def check_cor_e1para(ctx, Q, I, red=None, sampled=False):
     the second form of the bound; the identity itself is asserted too.
     """
     d = ctx.dim
-    nq = (len(Q.gens) if not isinstance(Q, semigroup.SemigroupIdeal)
-          else semigroup.nu(Q))
-    hyps = [("Q_has_d_generators", nq == d)]
+    hyps = [("Q_has_d_generators", len(Q.gens) == d)]
     if red is None:
         red = invariants.reduction_number(ctx, Q, I)
     hil = invariants.hilbert_coeffs(ctx, I)
-    lam_colon = _colon_colength(ctx, Q, I)
-    lam_i = invariants.colength_of(I)
+    lam_colon = Q.colon(I).colength()
+    lam_i = I.colength()
     gor = _is_gorenstein(ctx)
     identity_ok = True
     witness = {"e1_I": hil.e[1], "red_Q_I": red, "colon_colength": lam_colon,
@@ -168,18 +131,15 @@ def check_thm_e1hs(ctx, J, extra):
     does not already contain, s is the exact reduction number red_J(I).
     """
     hyps = [("extras_integral_over_J",
-             all(_integral_over(J, h) for h in extra))]
+             all(J.integral_over(h) for h in extra))]
     if not hyps[0][1]:
         return _report("thm_e1hs", hyps, 0, 0, {"reason": "non-integral extras"})
-    if isinstance(J, semigroup.SemigroupIdeal):
-        I = semigroup.sum_ideals(J, semigroup.ideal(J.ambient, list(extra)))
-    else:
-        I = monomial.sum_ideals(J, monomial.minimalize(J.dim, list(extra)))
+    I = J.extend(extra)
     m = _extra_generator_count(I, J)
     s = invariants.reduction_number(ctx, J, I)
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
-    lam = _colon_colength(ctx, J, I)
+    lam = J.colon(I).colength()
     f0 = invariants.fiber_coeffs(ctx, J).f[0]
     rhs = lam * (binom(m + s, s) - 1) * f0
     witness = {"e1_I": e1_i, "e1_J": e1_j, "m": m, "s": s,
@@ -193,20 +153,17 @@ def check_prop_f0(ctx, J, extra):
     Also verifies the intermediate step f0(I) - f0(J) <= e1(I) - e1(J).
     """
     hyps = [("extras_integral_over_J",
-             all(_integral_over(J, h) for h in extra))]
+             all(J.integral_over(h) for h in extra))]
     if not hyps[0][1]:
         return _report("prop_f0", hyps, 0, 0, {"reason": "non-integral extras"})
-    if isinstance(J, semigroup.SemigroupIdeal):
-        I = semigroup.sum_ideals(J, semigroup.ideal(J.ambient, list(extra)))
-    else:
-        I = monomial.sum_ideals(J, monomial.minimalize(J.dim, list(extra)))
+    I = J.extend(extra)
     m = _extra_generator_count(I, J)
     s = invariants.reduction_number(ctx, J, I)
     f0_i = invariants.fiber_coeffs(ctx, I).f[0]
     f0_j = invariants.fiber_coeffs(ctx, J).f[0]
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
-    lam = _colon_colength(ctx, J, I)
+    lam = J.colon(I).colength()
     rhs = (1 + lam * (binom(m + s, s) - 1)) * f0_j
     intermediate = f0_i - f0_j <= e1_i - e1_j
     witness = {"f0_I": f0_i, "f0_J": f0_j, "e1_I": e1_i, "e1_J": e1_j,
@@ -221,8 +178,8 @@ def check_cor_sally(ctx, Q, I, red=None, sampled=False):
     if red is None:
         red = invariants.reduction_number(ctx, Q, I)
     sal = invariants.sally_multiplicity(ctx, Q, I)
-    lam_colon = _colon_colength(ctx, Q, I)
-    nu_i = invariants.nu_of(I)
+    lam_colon = Q.colon(I).colength()
+    nu_i = I.nu()
     rhs = -sal.e0_i + sal.colength_i + lam_colon * (binom(nu_i - d + red, red) - 1)
     hyps = [("Q_is_reduction", True)]
     witness = {"s0": sal.s0, "e1_I": sal.e1_i, "e1_Q": sal.e1_q,
@@ -270,7 +227,7 @@ def check_thm_3_1(ctx, I, seed=0, samples=invariants.SAMPLE_COUNT):
     """red(I) <= max(d*e0(I)/o(I) - 2d + 1, 0) for some minimal reduction."""
     d = ctx.dim
     e0 = invariants.hilbert_coeffs(ctx, I).e[0]
-    o = invariants.order_of(I)
+    o = I.order()
     rhs = max(d * e0 // o - 2 * d + 1, 0)
     bound, certified, details = _best_reduction_bound(ctx, I, seed, samples,
                                                       good_enough=rhs)
@@ -286,9 +243,10 @@ def check_lemma_3_2(ctx, x_exp, I):
         raise ValueError("lemma 3.2 checker is one-dimensional")
     H = ctx.numerical
     hyps = [("x_in_semigroup", H.contains(x_exp) and x_exp > 0)]
-    lam_x = semigroup.colength(semigroup.ideal(H, [x_exp]))
-    nu_i = semigroup.nu(I)
-    s = invariants.order_of(semigroup.ideal(H, [x_exp]))
+    X = semigroup.ideal(H, [x_exp])
+    lam_x = X.colength()
+    nu_i = I.nu()
+    s = X.order()
     witness = {"nu_I": nu_i, "colength_x": lam_x, "order_x": s,
                "cm_refinement_rhs": (lam_x * nu_i) // max(s, 1)}
     return _report("lemma_3_2", hyps, nu_i, lam_x, witness)
@@ -320,11 +278,11 @@ def check_cor_after_3_3(ctx, seed=0, samples=invariants.SAMPLE_COUNT):
     d = ctx.dim
     m = ctx.maximal_ideal()
     e1_m = invariants.hilbert_coeffs(ctx, m).e[1]
-    nu_m = invariants.nu_of(m)
+    nu_m = m.nu()
     if ctx.kind == "semigroup":
         Q = semigroup.ideal(ctx.numerical, [ctx.numerical.multiplicity])
-        lam_q = invariants.colength_of(Q)
-        lam_colon = _colon_colength(ctx, Q, m)
+        lam_q = Q.colength()
+        lam_colon = Q.colon(m).colength()
         sampled = True  # monomial t^mult is one choice among minimal reductions
     elif nu_m == d:
         # regular: m is its own minimal reduction, both sides vanish
@@ -333,8 +291,8 @@ def check_cor_after_3_3(ctx, seed=0, samples=invariants.SAMPLE_COUNT):
         rep = invariants.minimal_reduction(ctx, m, samples=samples, seed=seed)
         Q = groebner.GroebnerIdeal(groebner.PolyRing(d, ctx.char_p),
                                    [dict(g) for g in rep.q_descriptor])
-        lam_q = groebner.local_colength(Q)
-        lam_colon = _colon_colength(ctx, Q, m)
+        lam_q = Q.colength()
+        lam_colon = Q.colon(m).colength()
         sampled = True
     if nu_m == d:
         rhs = 0
@@ -353,7 +311,7 @@ def check_rossi(ctx, Q, I, red=None, sampled=False):
     if red is None:
         red = invariants.reduction_number(ctx, Q, I)
     hil = invariants.hilbert_coeffs(ctx, I)
-    lam = invariants.colength_of(I)
+    lam = I.colength()
     rhs = hil.e[1] - hil.e[0] + lam + 1
     witness = {"red_Q_I": red, "e1_I": hil.e[1], "e0_I": hil.e[0],
                "colength_I": lam}
@@ -365,10 +323,10 @@ def check_normalization(ctx, I):
     hyps = [("monomial_engine", isinstance(I, monomial.MonomialIdeal))]
     e0 = invariants.hilbert_coeffs(ctx, I).e[0]
     f0 = invariants.fiber_coeffs(ctx, I).f[0]
-    lam = invariants.colength_of(I)
+    lam = I.colength()
     _, fbar = invariants.normal_coeffs(ctx, I)
     ibar = monomial.integral_closure(I)
-    lam_bar = invariants.colength_of(ibar)
+    lam_bar = ibar.colength()
     branch_adic = f0 * lam
     branch_normal = fbar.f[0] * lam_bar
     witness = {"e0": e0, "f0": f0, "colength_I": lam,
@@ -384,12 +342,12 @@ def check_intro_bounds(ctx, I):
     d = ctx.dim
     hil = invariants.hilbert_coeffs(ctx, I)
     e0, e1 = hil.e[0], hil.e[1]
-    nu_i = invariants.nu_of(I)
-    lam = invariants.colength_of(I)
+    nu_i = I.nu()
+    lam = I.colength()
     reports = []
     if d == 1:
         m = ctx.maximal_ideal()
-        is_max = invariants.equals_of(I, m)
+        is_max = I.equals(m)
         reports.append(_report(
             "kirby", [("I_is_maximal_ideal", is_max)], e1, binom(e0, 2),
             {"e0": e0, "e1": e1}))
@@ -398,7 +356,7 @@ def check_intro_bounds(ctx, I):
         binom(e0, 2) - binom(nu_i - d, 2) - lam + 1,
         {"e0": e0, "e1": e1, "nu": nu_i, "colength": lam}))
     if isinstance(I, monomial.MonomialIdeal):
-        s = invariants.order_of(I)
+        s = I.order()
         m = ctx.maximal_ideal()
         ms = monomial.power(m, s)
         distinct = monomial.integral_closure(I).gens != monomial.integral_closure(ms).gens

@@ -7,7 +7,8 @@ Verbs:
     minreduce  sample minimal reductions and report the best one found
 
 Exit codes: 0 success (check: verified/unresolved), 1 a bound was violated,
-2 input or binding error, 3 non-stabilizing / non-polynomial computation.
+2 input or binding error, 3 a computation hit a limit (horizon, cap, grid size
+or sample budget).
 """
 
 import argparse
@@ -64,14 +65,8 @@ def _build_ideal(data, rings, ideals, spec):
                 for poly in spec["data"]]
         return ctx, groebner.GroebnerIdeal(ring, gens)
     if form == "extend":
-        base_name = spec["data"]["base"]
-        bctx, base = _resolve_ideal(data, rings, ideals, base_name)
-        extra = spec["data"]["extra"]
-        if isinstance(base, monomial.MonomialIdeal):
-            return bctx, monomial.sum_ideals(
-                base, monomial.minimalize(bctx.dim, [tuple(v) for v in extra]))
-        return bctx, semigroup.sum_ideals(
-            base, semigroup.ideal(bctx.numerical, [int(v) for v in extra]))
+        bctx, base = _resolve_ideal(data, rings, ideals, spec["data"]["base"])
+        return bctx, base.extend(spec["data"]["extra"])
     raise InputError(f"unknown ideal form {form!r}")
 
 
@@ -100,22 +95,14 @@ def _sequence_payload(obj):
 def cmd_coeffs(args):
     data, rings, ideals = _load_instances(args.file)
     ctx, I = _resolve_ideal(data, rings, ideals, args.ideal)
-    if args.ring and args.ring not in rings:
-        raise InputError(f"unknown ring {args.ring!r}")
-    try:
-        hil = invariants.hilbert_coeffs(ctx, I)
-        payload = {"e": list(hil.e), "postulation": hil.postulation,
-                   "sequence": _sequence_payload(hil)}
-        if args.fiber:
-            fib = invariants.fiber_coeffs(ctx, I)
-            payload["f"] = list(fib.f)
-        if args.normal:
-            nh, nf = invariants.normal_coeffs(ctx, I)
-            payload["normal"] = {"e": list(nh.e), "f": list(nf.f)}
-    except (invariants.HorizonExceeded, groebner.NonStabilizing,
-            monomial.NotMPrimary) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    hil = invariants.hilbert_coeffs(ctx, I)
+    payload = {"e": list(hil.e), "postulation": hil.postulation,
+               "sequence": _sequence_payload(hil)}
+    if args.fiber:
+        payload["f"] = list(invariants.fiber_coeffs(ctx, I).f)
+    if args.normal:
+        nh, nf = invariants.normal_coeffs(ctx, I)
+        payload["normal"] = {"e": list(nh.e), "f": list(nf.f)}
     _emit(payload, args.json)
     return 0
 
@@ -210,8 +197,7 @@ def cmd_minreduce(args):
     rep = invariants.minimal_reduction(ctx, I, samples=args.samples,
                                        seed=args.seed)
     payload = {
-        "q_descriptor": [list(map(list, g)) if isinstance(g, tuple) else g
-                         for g in rep.q_descriptor],
+        "q_descriptor": rep.q_descriptor,
         "reduction_number": rep.reduction_number,
         "is_minimal": rep.is_minimal,
         "samples_tried": rep.samples_tried,
@@ -229,11 +215,9 @@ def build_parser():
 
     p = sub.add_parser("coeffs", help="Hilbert/fiber coefficients of an ideal")
     p.add_argument("--file", required=True)
-    p.add_argument("--ring")
     p.add_argument("--ideal", required=True)
     p.add_argument("--fiber", action="store_true")
     p.add_argument("--normal", action="store_true")
-    p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--json")
     p.set_defaults(run=cmd_coeffs)
 
@@ -255,7 +239,6 @@ def build_parser():
 
     p = sub.add_parser("minreduce", help="sample minimal reductions")
     p.add_argument("--file", required=True)
-    p.add_argument("--ring")
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=int, default=invariants.SAMPLE_COUNT)
     p.add_argument("--seed", type=int, default=0)
@@ -264,17 +247,25 @@ def build_parser():
     return parser
 
 
+INPUT_ERRORS = (InputError, KeyError, ValueError, TypeError,
+                monomial.NotMPrimary, monomial.DimensionUnsupported,
+                semigroup.NotCoprime)
+LIMIT_ERRORS = (invariants.HorizonExceeded, invariants.NoReductionFound,
+                groebner.NonStabilizing, groebner.CapExceeded,
+                semigroup.WindowOverflow, MemoryError)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except LIMIT_ERRORS as exc:
+        print(f"limit error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

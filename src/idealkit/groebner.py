@@ -254,8 +254,55 @@ class GroebnerIdeal:
     def initial_ideal(self):
         return monomial.minimalize(self.ring.nvars, [lt for lt, _ in self.lead_pairs])
 
+    # The ideal protocol (see invariants): methods call module functions by name.
+
+    def colength(self):
+        return local_colength(self)
+
+    def nu(self):
+        raise TypeError("generator counts are only exact in the monomial engines")
+
+    def order(self):
+        raise TypeError("order implemented for the monomial engines")
+
+    def product(self, other):
+        return ideal_product(self, other)
+
+    def power(self, n):
+        return ideal_power(self, n)
+
+    def colon(self, other):
+        return colon_ideal(self, self._lift(other))
+
+    def contains_ideal(self, other):
+        return all(self.contains(g) for g in self._lift(other).gens)
+
+    def equals(self, other):
+        return local_ideal_equal(self, other)
+
+    def member(self, v):
+        return self.contains({v: 1})
+
+    def integral_over(self, v):
+        raise TypeError("integral closures need the monomial engines")
+
+    def extend(self, extra):
+        """The ideal plus the monomials with exponent vectors in extra."""
+        return GroebnerIdeal(self.ring, list(self.gens) + [{tuple(v): 1} for v in extra])
+
+    def descriptor(self):
+        return tuple(tuple(sorted(g.items())) for g in self.gens)
+
+    def _lift(self, other):
+        """other in this ideal's ring, a monomial ideal as monic terms."""
+        if isinstance(other, GroebnerIdeal):
+            return other
+        return GroebnerIdeal(self.ring, [{g: 1} for g in other.gens])
+
 
 def from_monomial_ideal(I, char_p=DEFAULT_PRIME):
+    if not isinstance(I, monomial.MonomialIdeal):
+        raise TypeError("cannot lift a semigroup ideal to the GF(p) engine")
     ring = PolyRing(I.dim, char_p)
     return GroebnerIdeal(ring, [{g: 1} for g in I.gens])
 

@@ -10,6 +10,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 
 from . import bounds, groebner, invariants, monomial, semigroup
+from .binomfit import binom
 
 FAMILIES = ("e0Ih", "random_monomial_d2", "random_monomial_d3",
             "semigroup_small", "example_2_4")
@@ -184,20 +185,16 @@ def _battery_random_monomial(inst, char_p=None):
         I = J
     reports.append(bounds.check_normalization(ctx, I))
     reports.extend(bounds.check_intro_bounds(ctx, I))
-    reports.append(_retry_unresolved(
-        bounds.check_thm_3_1(ctx, I, seed=seed),
-        lambda p: bounds.check_thm_3_1(
-            invariants.poly_context(d, p or groebner.DEFAULT_PRIME), I,
-            seed=seed + 1, samples=invariants.SAMPLE_COUNT * RESAMPLE_FACTOR)))
-    reports.append(_retry_unresolved(
-        bounds.check_thm_3_3(ctx, I, seed=seed),
-        lambda p: bounds.check_thm_3_3(
-            invariants.poly_context(d, p or groebner.DEFAULT_PRIME), I,
-            seed=seed + 1, samples=invariants.SAMPLE_COUNT * RESAMPLE_FACTOR)))
+    for check in (bounds.check_thm_3_1, bounds.check_thm_3_3):
+        reports.append(_retry_unresolved(
+            check(ctx, I, seed=seed),
+            lambda p, check=check: check(
+                invariants.poly_context(d, p or groebner.DEFAULT_PRIME), I,
+                seed=seed + 1, samples=invariants.SAMPLE_COUNT * RESAMPLE_FACTOR)))
     reports.append(bounds.check_cor_after_3_3(ctx, seed=seed))
     if d <= 2:
         rep = invariants.minimal_reduction(ctx, I, seed=seed)
-        if invariants.nu_of(I) == d:
+        if I.nu() == d:
             Q = I
         else:
             Q = groebner.GroebnerIdeal(groebner.PolyRing(d, ctx.char_p),
@@ -223,7 +220,7 @@ def _battery_semigroup(inst):
         "e1_oracles_agree": e1_fit == e1_series,
     }
     if tuple(inst["H"]) == (2, 3):
-        lam_colon = invariants.colength_of(semigroup.colon(Q, I))
+        lam_colon = Q.colon(I).colength()
         extra["e1_identity_lhs"] = e1_fit
         extra["e1_identity_rhs"] = lam_colon * (semigroup.nu(I) - 1)
         extra["e1_identity_ok"] = e1_fit == extra["e1_identity_rhs"]
@@ -247,17 +244,16 @@ def _battery_example_2_4(inst):
     Q = semigroup.ideal(H, inst["Q"])
     m = semigroup.maximal_ideal(H)
     red = invariants.reduction_number(ctx, Q, I)
-    e1 = invariants.hilbert_coeffs(ctx, I).e[1]
+    hil = invariants.hilbert_coeffs(ctx, I)
+    e0, e1 = hil.e[0], hil.e[1]
     e1_series = invariants.e1_series_check(ctx, Q, I)
-    e0 = invariants.hilbert_coeffs(ctx, I).e[0]
     lam_i = semigroup.colength(I)
     lam_iq = semigroup.rel_length(I, Q)
     mi = semigroup.product(m, I)
     mi_in_q = semigroup.contains_ideal(Q, mi)
     s = red
     mm = bounds._extra_generator_count(I, Q)
-    lam_colon = invariants.colength_of(semigroup.colon(Q, I))
-    from .binomfit import binom
+    lam_colon = Q.colon(I).colength()
     e1hs_rhs = lam_colon * (binom(mm + s, s) - 1)
     claims = {
         "mI_in_Q": {"engine": mi_in_q, "claimed": True,

@@ -6,9 +6,21 @@ tabulates the length and generator-count sequences of its powers, fits them in
 the signed binomial basis to obtain the Hilbert coefficients e_0..e_d and
 fiber coefficients f_0..f_{d-1}, and computes reduction numbers, minimal
 reductions, socle extensions and related integers.  Everything is exact.
+
+The ideal protocol: monomial.MonomialIdeal, semigroup.SemigroupIdeal and
+groebner.GroebnerIdeal all have the methods colength() (local for GF(p)),
+nu(), order(), product(J), power(n), colon(J) = (I : J), contains_ideal(J)
+(J in I), equals(J), member(g) (the monomial g lies in I), integral_over(g),
+extend(extra) (I plus the monomials in extra) and descriptor() (generators as
+JSON-ready nested tuples).  A GF(p) ideal raises TypeError for nu, order and
+integral_over, and lifts a monomial argument of colon and contains_ideal into
+its own ring.  Each method calls its engine's module function by name when it
+runs, so the module functions remain the implementation.
 """
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import methodcaller
 
 from . import binomfit, groebner, monomial, semigroup
 
@@ -52,6 +64,10 @@ class RingContext:
 def poly_context(dim, char_p=groebner.DEFAULT_PRIME):
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    # past MATRIX_CAP*(p-1)^2 >= 2^63 local_colength's int64 products can wrap
+    if (groebner.MATRIX_CAP * (char_p - 1) ** 2 >= 2 ** 63 or char_p < 2
+            or any(char_p % k == 0 for k in range(2, isqrt(char_p) + 1))):
+        raise ValueError(f"char {char_p} is not a prime within the int64 bound")
     return RingContext("poly", dim, char_p)
 
 
@@ -94,89 +110,12 @@ class SallyReport:
     hypotheses_note: str
 
 
-# ---------------------------------------------------------------- dispatch
-
-def _engine(I):
-    if isinstance(I, monomial.MonomialIdeal):
-        return "monomial"
-    if isinstance(I, semigroup.SemigroupIdeal):
-        return "semigroup"
-    if isinstance(I, groebner.GroebnerIdeal):
-        return "groebner"
-    raise TypeError(f"unsupported ideal type {type(I)!r}")
-
-
-def colength_of(I):
-    kind = _engine(I)
-    if kind == "monomial":
-        return monomial.colength(I)
-    if kind == "semigroup":
-        return semigroup.colength(I)
-    return groebner.local_colength(I)
-
-
-def nu_of(I):
-    kind = _engine(I)
-    if kind == "monomial":
-        return monomial.nu(I)
-    if kind == "semigroup":
-        return semigroup.nu(I)
-    raise TypeError("generator counts are only exact in the monomial engines")
-
-
-def product_of(I, J):
-    kind = _engine(I)
-    if kind != _engine(J):
-        raise TypeError("mixed-engine product")
-    if kind == "monomial":
-        return monomial.product(I, J)
-    if kind == "semigroup":
-        return semigroup.product(I, J)
-    return groebner.ideal_product(I, J)
-
-
-def power_of(I, n):
-    kind = _engine(I)
-    if kind == "monomial":
-        return monomial.power(I, n)
-    if kind == "semigroup":
-        return semigroup.power(I, n)
-    return groebner.ideal_power(I, n)
-
-
-def order_of(I):
-    kind = _engine(I)
-    if kind == "monomial":
-        return monomial.order(I)
-    if kind == "semigroup":
-        return semigroup.order(I)
-    raise TypeError("order implemented for the monomial engines")
-
-
-def contains_of(I, J):
-    """Containment J subset of I."""
-    kind = _engine(I)
-    if kind == "monomial":
-        return I.contains_ideal(J)
-    if kind == "semigroup":
-        return semigroup.contains_ideal(I, J)
-    return all(I.contains(g) for g in J.gens)
-
-
-def equals_of(I, J):
-    kind = _engine(I)
-    if kind == "monomial":
-        return I.gens == J.gens
-    if kind == "semigroup":
-        return semigroup.equals(I, J)
-    return groebner.local_ideal_equal(I, J)
-
+# ---------------------------------------------------------------- lifting
 
 def to_groebner(ctx, I):
-    if _engine(I) == "groebner":
+    """I in the GF(p) engine: a monomial ideal is lifted over GF(ctx.char_p)."""
+    if isinstance(I, groebner.GroebnerIdeal):
         return I
-    if _engine(I) != "monomial":
-        raise TypeError("cannot lift a semigroup ideal to the GF(p) engine")
     return groebner.from_monomial_ideal(I, ctx.char_p)
 
 
@@ -188,17 +127,18 @@ def _power_values(I, nmax, value):
     for n in range(1, nmax + 1):
         out.append(value(cur))
         if n < nmax:
-            cur = product_of(cur, I)
+            cur = cur.product(I)
     return out
 
 
 def length_sequence(I, nmax):
     """lam(R/I^n) for n = 1..nmax."""
-    return binomfit.LengthSequence(1, tuple(_power_values(I, nmax, colength_of)))
+    return binomfit.LengthSequence(
+        1, tuple(_power_values(I, nmax, methodcaller("colength"))))
 
 
 def nu_sequence(I, nmax):
-    return binomfit.LengthSequence(1, tuple(_power_values(I, nmax, nu_of)))
+    return binomfit.LengthSequence(1, tuple(_power_values(I, nmax, methodcaller("nu"))))
 
 
 def _fit_with_horizon(make_seq, degree, start_horizon, guard=None):
@@ -250,8 +190,6 @@ def fiber_coeffs(ctx, J, guard=None):
 
 def normal_coeffs(ctx, I, guard=None):
     """Hilbert and fiber data of the integral-closure filtration n -> bar(I^n)."""
-    if _engine(I) != "monomial":
-        raise monomial.DimensionUnsupported("normal filtration needs the monomial engine")
     d = ctx.dim
     NP = monomial.newton(I)
 
@@ -269,30 +207,23 @@ def normal_coeffs(ctx, I, guard=None):
 
 # ---------------------------------------------------------------- reductions
 
-def _descriptor(Q):
-    kind = _engine(Q)
-    if kind in ("monomial", "semigroup"):
-        return tuple(Q.gens)
-    return tuple(tuple(sorted(g.items())) for g in Q.gens)
-
-
 def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
-    """Least s with I^(s+1) = Q * I^s, dispatched to the exact engine."""
-    kq, ki = _engine(Q), _engine(I)
-    if kq == ki and kq in ("monomial", "semigroup"):
-        if not contains_of(I, Q):
-            raise ValueError("Q is not contained in I")
-        Is = power_of(I, 0)
-        for s in range(cap + 1):
-            Isp1 = product_of(Is, I)
-            QIs = product_of(Q, Is)
-            if equals_of(QIs, Isp1):
-                return s
-            Is = Isp1
-        raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
-    Qg = to_groebner(ctx, Q) if kq != "groebner" else Q
-    Ig = to_groebner(ctx, I) if ki != "groebner" else I
-    return groebner.reduction_number(Qg, Ig, cap=cap)
+    """Least s with I^(s+1) = Q * I^s, in the exact engine unless Q or I is
+    a GF(p) ideal."""
+    if (isinstance(Q, groebner.GroebnerIdeal)
+            or isinstance(I, groebner.GroebnerIdeal)):
+        return groebner.reduction_number(to_groebner(ctx, Q), to_groebner(ctx, I),
+                                         cap=cap)
+    if not I.contains_ideal(Q):
+        raise ValueError("Q is not contained in I")
+    Is = I.power(0)
+    for s in range(cap + 1):
+        Isp1 = Is.product(I)
+        QIs = Q.product(Is)
+        if QIs.equals(Isp1):
+            return s
+        Is = Isp1
+    raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
 
 
 def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0, cap=REDUCTION_CAP):
@@ -301,10 +232,10 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0, cap=REDUCTION_CAP):
         e = min(I.gens)
         Q = semigroup.ideal(ctx.numerical, [e])
         s = reduction_number(ctx, Q, I, cap=cap)
-        return ReductionReport(_descriptor(Q), s, True, 1, True)
+        return ReductionReport(Q.descriptor(), s, True, 1, True)
     d = ctx.dim
-    if _engine(I) == "monomial" and nu_of(I) == d:
-        return ReductionReport(_descriptor(I), 0, True, 0, True)
+    if isinstance(I, monomial.MonomialIdeal) and I.nu() == d:
+        return ReductionReport(I.descriptor(), 0, True, 0, True)
     Ig = to_groebner(ctx, I)
     best = None
     tried = 0
@@ -323,7 +254,7 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0, cap=REDUCTION_CAP):
     if best is None:
         raise NoReductionFound(f"no sampled reduction within cap {cap}")
     Q, s = best
-    return ReductionReport(_descriptor(Q), s, True, tried, False)
+    return ReductionReport(Q.descriptor(), s, True, tried, False)
 
 
 def sally_multiplicity(ctx, Q, I, e1_q=None, cap=REDUCTION_CAP):
@@ -331,13 +262,13 @@ def sally_multiplicity(ctx, Q, I, e1_q=None, cap=REDUCTION_CAP):
     hil = hilbert_coeffs(ctx, I)
     note = "dim of the Sally module assumed maximal; H^0_m(R) = 0 in these domains"
     if e1_q is None:
-        if _engine(Q) == "groebner":
+        if isinstance(Q, groebner.GroebnerIdeal):
             # a d-generated parameter ideal in a CM ring has e1 = 0
             e1_q = 0
             note += "; e1(Q) = 0 taken from the parameter-ideal vanishing"
         else:
             e1_q = hilbert_coeffs(ctx, Q).e[1]
-    lam = colength_of(I)
+    lam = I.colength()
     s0 = hil.e[1] - e1_q - hil.e[0] + lam
     return SallyReport(s0, hil.e[1], e1_q, hil.e[0], lam, note)
 
@@ -346,13 +277,7 @@ def socle_extension(ctx, Q, s):
     """The ideal Q : m^s."""
     if s == 0:
         return Q
-    m = ctx.maximal_ideal()
-    ms = power_of(m, s)
-    if _engine(Q) == "monomial":
-        return monomial.colon(Q, ms)
-    if _engine(Q) == "semigroup":
-        return semigroup.colon(Q, ms)
-    return groebner.colon_ideal(Q, to_groebner(ctx, ms))
+    return Q.colon(ctx.maximal_ideal().power(s))
 
 
 def nu_power_criterion(ctx, I, cap=REDUCTION_CAP):
@@ -361,9 +286,9 @@ def nu_power_criterion(ctx, I, cap=REDUCTION_CAP):
     d = ctx.dim
     cur = I
     for n in range(1, cap + 1):
-        if nu_of(cur) < binomfit.binom(n + d, d):
+        if cur.nu() < binomfit.binom(n + d, d):
             return n - 1
-        cur = product_of(cur, I)
+        cur = cur.product(I)
     raise groebner.CapExceeded(f"criterion inconclusive up to n={cap}")
 
 
@@ -374,11 +299,11 @@ def e1_series_check(ctx, Q, I, cap=REDUCTION_CAP):
     total = 0
     In = None
     for n in range(cap + 1):
-        Inext = power_of(I, n + 1)
-        QIs = product_of(Q, In) if n > 0 else Q
+        Inext = I.power(n + 1)
+        QIs = Q.product(In) if n > 0 else Q
         step = semigroup.rel_length(Inext, QIs)
         total += step
-        if step == 0 and equals_of(QIs, Inext):
+        if step == 0 and QIs.equals(Inext):
             return total
         In = Inext
     raise groebner.CapExceeded("series did not terminate within cap")

@@ -85,6 +85,43 @@ class MonomialIdeal:
     def is_unit(self):
         return self.gens == ((0,) * self.dim,)
 
+    # The ideal protocol (see invariants): methods call module functions by name.
+
+    def colength(self):
+        return colength(self)
+
+    def nu(self):
+        return nu(self)
+
+    def order(self):
+        return order(self)
+
+    def product(self, other):
+        return product(self, other)
+
+    def power(self, n):
+        return power(self, n)
+
+    def colon(self, other):
+        return colon(self, other)
+
+    def equals(self, other):
+        return self.gens == other.gens
+
+    def member(self, v):
+        return self.contains_monomial(v)
+
+    def integral_over(self, v):
+        """v lies in the integral closure of the ideal."""
+        return np_contains(newton(self), v)
+
+    def extend(self, extra):
+        """The ideal plus the monomials with exponent vectors in extra."""
+        return sum_ideals(self, minimalize(self.dim, extra))
+
+    def descriptor(self):
+        return self.gens
+
 
 def minimalize(dim, raw):
     """Build a MonomialIdeal from an arbitrary generator list."""
@@ -183,15 +220,6 @@ def power(I, n):
     return result
 
 
-def powers_iter(I, nmax):
-    """Yields I^1, I^2, ..., I^nmax."""
-    cur = I
-    for n in range(1, nmax + 1):
-        yield cur
-        if n < nmax:
-            cur = product(cur, I)
-
-
 def colon(J, I):
     """Colon ideal (J : I), intersecting (J : h) over the generators h of I."""
     if J.dim != I.dim:
@@ -269,6 +297,8 @@ def newton(I):
     so candidate normals come from rational nullspaces of those subsets; only
     valid supporting halfspaces with nonnegative normals are kept.
     """
+    if not isinstance(I, MonomialIdeal):
+        raise DimensionUnsupported("Newton polyhedra need the monomial engine")
     d = I.dim
     if d > 4:
         raise DimensionUnsupported("Newton polyhedra supported for dim <= 4")

@@ -117,6 +117,46 @@ class SemigroupIdeal:
     def elements_below(self, bound):
         return [x for x in range(bound) if self.contains(x)]
 
+    # The ideal protocol (see invariants): methods call module functions by name.
+
+    def colength(self):
+        return colength(self)
+
+    def nu(self):
+        return nu(self)
+
+    def order(self):
+        return order(self)
+
+    def product(self, other):
+        return product(self, other)
+
+    def power(self, n):
+        return power(self, n)
+
+    def colon(self, other):
+        return colon(self, other)
+
+    def contains_ideal(self, other):
+        return contains_ideal(self, other)
+
+    def equals(self, other):
+        return equals(self, other)
+
+    def member(self, x):
+        return self.contains(x)
+
+    def integral_over(self, x):
+        """t^x lies in the integral closure of the ideal."""
+        return x >= min(self.gens) and self.ambient.contains(x)
+
+    def extend(self, extra):
+        """The ideal plus the elements t^x for x in extra."""
+        return sum_ideals(self, ideal(self.ambient, extra))
+
+    def descriptor(self):
+        return self.gens
+
 
 def ideal(H, gens):
     """Semigroup ideal from a raw generator list (minimalized antichain)."""
@@ -151,7 +191,7 @@ def power(E, n):
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
-        return ideal(E.ambient, [0]) if E.ambient.contains(0) else None
+        return ideal(E.ambient, [0])
     result = E
     for _ in range(n - 1):
         result = product(result, E)

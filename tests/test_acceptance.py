@@ -163,7 +163,7 @@ def test_acceptance_6_reduction_bounds():
         extra_reports.append(bd.check_thm_3_3(ctx2, mn, seed=n))
         extra_reports.append(bd.check_cor_after_3_3(ctx2, seed=n))
         rep = iv.minimal_reduction(ctx2, mn, seed=n)
-        Q = (mn if iv.nu_of(mn) == 2 else
+        Q = (mn if mn.nu() == 2 else
              gb.GroebnerIdeal(gb.PolyRing(2), [dict(g) for g in rep.q_descriptor]))
         extra_reports.append(bd.check_rossi(ctx2, Q, mn,
                                             red=rep.reduction_number,

@@ -143,3 +143,35 @@ def test_json_to_file(instance_path, tmp_path, capsys):
 def test_missing_file_is_input_error(capsys):
     rc = cli.main(["coeffs", "--file", "/nonexistent.json", "--ideal", "x"])
     assert rc == 2
+
+
+def test_minreduce_monomial_own_reduction(instance_path, capsys):
+    rc = cli.main(["minreduce", "--file", instance_path, "--ideal", "param"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["q_descriptor"] == [[0, 2], [2, 0]]
+    assert payload["reduction_number"] == 0
+
+
+@pytest.mark.parametrize("extra, argv, code", [
+    ({"ideals": {"Jnp": {"ring": "P2", "form": "monomial",
+                         "data": [[3, 0], [1, 1]]}}},
+     ["check", "--theorem", "thm_2_2", "--bind", "J=Jnp,I=msq"], 2),
+    ({"rings": {"H46": {"kind": "semigroup", "gens": [4, 6]}}},
+     ["coeffs", "--ideal", "msq"], 2),
+    ({"ideals": {"mpoly": {"ring": "P2", "form": "polynomials",
+                           "data": [[{"exp": [1, 0], "coef": 1}],
+                                    [{"exp": [0, 1], "coef": 1}]]}}},
+     ["coeffs", "--ideal", "mpoly", "--normal"], 2),
+    ({}, ["minreduce", "--ideal", "msq", "--samples", "0"], 3),
+], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
+        "no_reduction_found"])
+def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
+    data = {key: {**INSTANCE_FILE[key], **extra.get(key, {})}
+            for key in INSTANCE_FILE}
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main(argv[:1] + ["--file", str(path)] + argv[1:])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

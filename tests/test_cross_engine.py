@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from idealkit import groebner as gb
 from idealkit import invariants as iv
 from idealkit import monomial as mo
@@ -69,3 +71,27 @@ def test_powers_agree():
         An = gb.ideal_power(A, n)
         assert sorted(gb.monomial_generators(An)) == list(In.gens)
         assert gb.local_colength(An) == mo.colength(In)
+
+
+def test_ideal_protocol_agrees_with_gfp_lift():
+    ctx = iv.poly_context(2)
+    J = mo.minimalize(2, [(4, 0), (1, 2), (0, 3)])
+    I = J.extend([(2, 1)])
+    Jg, Ig = iv.to_groebner(ctx, J), iv.to_groebner(ctx, I)
+    assert I.gens == mo.minimalize(2, [(4, 0), (2, 1), (1, 2), (0, 3)]).gens
+    assert Ig.colength() == I.colength() == mo.colength(I)
+    assert Jg.colon(I).colength() == J.colon(I).colength()
+    assert Jg.extend([(2, 1)]).colength() == I.colength()
+    assert Ig.contains_ideal(J) and I.contains_ideal(J)
+    assert not Jg.contains_ideal(I) and not J.contains_ideal(I)
+    assert Ig.member((2, 1)) and I.member((2, 1))
+    assert not Jg.member((2, 1)) and not J.member((2, 1))
+    assert Ig.power(2).colength() == I.power(2).colength()
+    assert Jg.product(Ig).equals(Ig.product(Ig)) == J.product(I).equals(I.product(I))
+    assert I.descriptor() == I.gens
+    assert Ig.descriptor() == tuple(((g, 1),) for g in I.gens)
+    for method in ("nu", "order"):
+        with pytest.raises(TypeError):
+            getattr(Ig, method)()
+    with pytest.raises(TypeError):
+        Jg.integral_over((2, 1))

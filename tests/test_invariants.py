@@ -18,6 +18,14 @@ def ctx479():
     return iv.semigroup_context(sg.semigroup([4, 7, 9]))
 
 
+def test_poly_context_validates_char():
+    for p in (32003, 31991):
+        assert iv.poly_context(2, p).char_p == p
+    for p in (32004, 1, 2 ** 31 - 1):  # composite, not prime, int64 overflow
+        with pytest.raises(ValueError):
+            iv.poly_context(2, p)
+
+
 def test_maximal_ideal_power_coeffs(ctx2):
     m = ctx2.maximal_ideal()
     for n in range(2, 6):
