@@ -62,11 +62,10 @@ class LengthSequence:
 
 @dataclass(frozen=True)
 class BinomialPolynomial:
-    """Coefficients c_0..c_D in the (optionally signed) binomial basis."""
+    """Coefficients c_0..c_D in the signed binomial basis."""
 
     degree_d: int
     coeffs: tuple
-    signed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -78,7 +77,6 @@ class BinomialPolynomial:
 class FitReport:
     poly: BinomialPolynomial
     postulation_index: int
-    samples_used: int
 
 
 def eval_binomial(p, n):
@@ -86,7 +84,7 @@ def eval_binomial(p, n):
     D = p.degree_d
     total = 0
     for i, c in enumerate(p.coeffs):
-        sign = -1 if (p.signed and i % 2 == 1) else 1
+        sign = -1 if i % 2 else 1
         total += sign * c * binom(n + D - 1 - i, D - i)
     return total
 
@@ -122,16 +120,15 @@ def _solve_exact(rows, rhs):
     return [m[r][n] for r in range(n)]
 
 
-def fit_binomial(seq, dim_d, guard=None):
+def fit_binomial(seq, dim_d):
     """Fit a degree-<=dim_d signed binomial polynomial to the trailing window.
 
-    The last dim_d+1+guard values are used: dim_d+1 for interpolation and
-    guard extra points for verification.  Raises NonPolynomial when the guard
-    points disagree (caller should extend the sequence and retry).
+    The last 2*dim_d+3 values are used: dim_d+1 for interpolation and a guard
+    window fixed at dim_d+2 further points for verification.  Raises
+    NonPolynomial when the guard points disagree (caller should extend the
+    sequence and retry).
     """
-    if guard is None:
-        guard = dim_d + 2
-    need = dim_d + 1 + guard
+    need = 2 * dim_d + 3
     if len(seq) < need:
         raise WindowTooShort(f"need {need} values, have {len(seq)}")
     window_start = seq.end_n - need + 1
@@ -155,4 +152,4 @@ def fit_binomial(seq, dim_d, guard=None):
         if eval_binomial(poly, n) != seq.at(n):
             break
         postulation = n
-    return FitReport(poly=poly, postulation_index=postulation, samples_used=need)
+    return FitReport(poly=poly, postulation_index=postulation)

@@ -172,7 +172,7 @@ def check_prop_f0(ctx, J, extra):
     return _report("prop_f0", hyps, f0_i, rhs, witness, extra_ok=intermediate)
 
 
-def check_cor_sally(ctx, Q, I, red=None, sampled=False):
+def check_cor_sally(ctx, Q, I, red=None):
     """s0(Q,I) <= -e0(I) + lam(R/I) + lam(R/(Q:I)) * [C(nu(I)-d+s, s) - 1]."""
     d = ctx.dim
     if red is None:
@@ -186,10 +186,10 @@ def check_cor_sally(ctx, Q, I, red=None, sampled=False):
                "e0_I": sal.e0_i, "colength_I": sal.colength_i,
                "nu_I": nu_i, "s": red, "colon_colength": lam_colon,
                "note": sal.hypotheses_note}
-    return _report("cor_sally", hyps, sal.s0, rhs, witness, sampled=sampled)
+    return _report("cor_sally", hyps, sal.s0, rhs, witness)
 
 
-def _best_reduction_bound(ctx, I, seed, samples, good_enough=None):
+def _best_reduction_bound(ctx, I, seed, samples, good_enough):
     """Best available upper bound for the minimal reduction number of I.
 
     Tries the certified generator-count criterion first, then sampled
@@ -206,8 +206,7 @@ def _best_reduction_bound(ctx, I, seed, samples, good_enough=None):
         certified = True
     except groebner.CapExceeded:
         details["nu_power_bound"] = None
-    settled = (best is not None and good_enough is not None
-               and best <= good_enough)
+    settled = best is not None and best <= good_enough
     if not settled and (ctx.kind == "semigroup" or best is None or best > 0):
         try:
             rep = invariants.minimal_reduction(ctx, I, samples=samples, seed=seed)
@@ -273,31 +272,21 @@ def check_thm_3_3(ctx, I, seed=0, samples=invariants.SAMPLE_COUNT):
                    witness, sampled=True)
 
 
-def check_cor_after_3_3(ctx, seed=0, samples=invariants.SAMPLE_COUNT):
+def check_cor_after_3_3(ctx):
     """e1(m) <= lam(R/(Q:m)) * [C(nu(m)+lam(R/Q)d-3d+1, nu(m)-d) - 1]."""
     d = ctx.dim
     m = ctx.maximal_ideal()
     e1_m = invariants.hilbert_coeffs(ctx, m).e[1]
     nu_m = m.nu()
-    if ctx.kind == "semigroup":
-        Q = semigroup.ideal(ctx.numerical, [ctx.numerical.multiplicity])
-        lam_q = Q.colength()
-        lam_colon = Q.colon(m).colength()
-        sampled = True  # monomial t^mult is one choice among minimal reductions
-    elif nu_m == d:
-        # regular: m is its own minimal reduction, both sides vanish
-        Q, lam_q, lam_colon, sampled = m, 1, None, False
-    else:
-        rep = invariants.minimal_reduction(ctx, m, samples=samples, seed=seed)
-        Q = groebner.GroebnerIdeal(groebner.PolyRing(d, ctx.char_p),
-                                   [dict(g) for g in rep.q_descriptor])
-        lam_q = Q.colength()
-        lam_colon = Q.colon(m).colength()
-        sampled = True
-    if nu_m == d:
+    # in k[[t^H]] the monomial t^mult is one choice among minimal reductions
+    sampled = ctx.kind == "semigroup"
+    if nu_m == d:  # regular (every poly context): m reduces itself, both sides vanish
         rhs = 0
         witness = {"e1_m": e1_m, "nu_m": nu_m, "regular": True}
     else:
+        Q = semigroup.ideal(ctx.numerical, [ctx.numerical.multiplicity])
+        lam_q = Q.colength()
+        lam_colon = Q.colon(m).colength()
         rhs = lam_colon * (binom(nu_m + lam_q * d - 3 * d + 1, nu_m - d) - 1)
         witness = {"e1_m": e1_m, "nu_m": nu_m, "colength_Q": lam_q,
                    "colon_colength": lam_colon}
@@ -344,9 +333,9 @@ def check_intro_bounds(ctx, I):
     e0, e1 = hil.e[0], hil.e[1]
     nu_i = I.nu()
     lam = I.colength()
+    m = ctx.maximal_ideal()
     reports = []
     if d == 1:
-        m = ctx.maximal_ideal()
         is_max = I.equals(m)
         reports.append(_report(
             "kirby", [("I_is_maximal_ideal", is_max)], e1, binom(e0, 2),
@@ -357,7 +346,6 @@ def check_intro_bounds(ctx, I):
         {"e0": e0, "e1": e1, "nu": nu_i, "colength": lam}))
     if isinstance(I, monomial.MonomialIdeal):
         s = I.order()
-        m = ctx.maximal_ideal()
         ms = monomial.power(m, s)
         distinct = monomial.integral_closure(I).gens != monomial.integral_closure(ms).gens
         reports.append(_report(

@@ -31,16 +31,14 @@ def _emit(payload, path=None):
         sys.stdout.write(text)
 
 
-def _load_file(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}")
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 def _build_ring(spec):
-    kind = spec.get("kind")
+    kind = _object(spec, "a ring spec").get("kind")
     if kind == "poly":
         return invariants.poly_context(int(spec["vars"]),
                                        int(spec.get("char", groebner.DEFAULT_PRIME)))
@@ -49,41 +47,66 @@ def _build_ring(spec):
     raise InputError(f"unknown ring kind {kind!r}")
 
 
+# the ring kind each generator form is read in; "extend" follows its base
+FORM_KINDS = {"monomial": "poly", "polynomials": "poly", "exponents": "semigroup"}
+
+
+def _vector(ctx, v):
+    """An exponent vector of the poly ring ctx: ctx.dim nonnegative integers."""
+    if not (isinstance(v, list) and len(v) == ctx.dim
+            and all(type(a) is int and a >= 0 for a in v)):
+        raise InputError(f"{v!r} is not a vector of {ctx.dim} nonnegative integers")
+    return tuple(v)
+
+
 def _build_ideal(data, rings, ideals, spec):
-    ring_name = spec.get("ring")
+    ring_name = _object(spec, "an ideal spec").get("ring")
     if ring_name not in rings:
         raise InputError(f"ideal references unknown ring {ring_name!r}")
     ctx = rings[ring_name]
     form = spec.get("form", "monomial")
+    if FORM_KINDS.get(form, ctx.kind) != ctx.kind:
+        raise InputError(f"form {form!r} needs a {FORM_KINDS[form]} ring, "
+                         f"but ring {ring_name!r} is {ctx.kind}")
     if form == "monomial":
-        return ctx, monomial.minimalize(ctx.dim, [tuple(v) for v in spec["data"]])
+        return ctx, monomial.minimalize(ctx.dim, [_vector(ctx, v) for v in spec["data"]])
     if form == "exponents":
         return ctx, semigroup.ideal(ctx.numerical, [int(v) for v in spec["data"]])
     if form == "polynomials":
         ring = groebner.PolyRing(ctx.dim, ctx.char_p)
-        gens = [{tuple(t["exp"]): int(t["coef"]) for t in poly}
+        gens = [{_vector(ctx, t["exp"]): int(t["coef"]) for t in poly}
                 for poly in spec["data"]]
         return ctx, groebner.GroebnerIdeal(ring, gens)
     if form == "extend":
         bctx, base = _resolve_ideal(data, rings, ideals, spec["data"]["base"])
-        return bctx, base.extend(spec["data"]["extra"])
+        extra = spec["data"]["extra"]
+        if bctx.kind == "poly":
+            extra = [_vector(bctx, v) for v in extra]
+        return bctx, base.extend(extra)
     raise InputError(f"unknown ideal form {form!r}")
 
 
 def _resolve_ideal(data, rings, ideals, name):
     if name in ideals:
+        if ideals[name] is None:
+            raise InputError(f"ideal {name!r} is defined in terms of itself")
         return ideals[name]
     specs = data.get("ideals", {})
     if name not in specs:
         raise InputError(f"unknown ideal {name!r}")
+    ideals[name] = None  # marks name as being built
     ideals[name] = _build_ideal(data, rings, ideals, specs[name])
     return ideals[name]
 
 
 def _load_instances(path):
-    data = _load_file(path)
+    try:
+        with open(path) as fh:
+            data = _object(json.load(fh), "an instance file")
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read instance file {path}: {exc}")
     rings = {}
-    for name, spec in data.get("rings", {}).items():
+    for name, spec in _object(data.get("rings", {}), "'rings'").items():
         rings[name] = _build_ring(spec)
     return data, rings, {}
 
@@ -170,7 +193,7 @@ def cmd_check(args):
             raise InputError("no ring available for the check")
         ctx = rings[ring_name]
     kwargs = {}
-    if args.theorem in ("thm_3_1", "thm_3_3", "cor_after_3_3"):
+    if args.theorem in ("thm_3_1", "thm_3_3"):
         kwargs["seed"] = args.seed
     result = fn(ctx, *call, **kwargs)
     reports = result if isinstance(result, list) else [result]

@@ -20,7 +20,7 @@ RESAMPLE_FACTOR = 4
 
 # ----------------------------------------------------------------- families
 
-def family_e0Ih(count=None, seed=0):
+def family_e0Ih(count=None):
     """Three-variable instances J=(x^a, y^b, z^c), I=J+(x^alpha y^beta z^gamma).
 
     Parameter grid a,b,c in 5..8, alpha,beta,gamma in 1..2, filtered by the
@@ -43,9 +43,9 @@ def family_e0Ih(count=None, seed=0):
     return out[:count] if count is not None else out
 
 
-def _random_m_primary(rng, d, max_exp=4):
+def _random_m_primary(rng, d):
     """Random m-primary monomial ideal: pure powers plus interior monomials."""
-    pure = [rng.randint(2, max_exp) for _ in range(d)]
+    pure = [rng.randint(2, 4) for _ in range(d)]
     gens = []
     for i in range(d):
         e = [0] * d
@@ -104,10 +104,10 @@ def family_semigroup_small(count, seed):
     return out
 
 
-def family_example_2_4(pairs=((4, 2), (4, 3), (5, 2), (5, 3))):
+def family_example_2_4():
     """Canonical-ideal instances in H = <a, al-1, al+1..al+a-3>."""
     out = []
-    for a, ell in pairs:
+    for a, ell in ((4, 2), (4, 3), (5, 2), (5, 3)):
         hgens = [a, a * ell - 1] + [a * ell + i for i in range(1, a - 2)]
         igens = [2 * a * ell - a - 1] + [3 * a * ell - 2 * a - 1 - i
                                          for i in range(1, a - 2)]
@@ -122,7 +122,7 @@ def family_example_2_4(pairs=((4, 2), (4, 3), (5, 2), (5, 3))):
 
 def make_family(name, count=None, seed=0):
     if name == "e0Ih":
-        return family_e0Ih(count, seed)
+        return family_e0Ih(count)
     if name == "random_monomial_d2":
         return family_random_monomial(2, count if count is not None else 100, seed)
     if name == "random_monomial_d3":
@@ -167,17 +167,16 @@ def _battery_e0Ih(inst):
     return reports, {"red_Q_I": red}
 
 
-def _battery_random_monomial(inst, char_p=None):
+def _battery_random_monomial(inst):
     d = inst["dim"]
-    ctx = invariants.poly_context(d, char_p or groebner.DEFAULT_PRIME)
+    ctx = invariants.poly_context(d)
     J = monomial.minimalize(d, [tuple(g) for g in inst["J"]])
     extras = [tuple(h) for h in inst["extras"]]
     seed = inst["seed"]
     reports = []
     if extras:
         I = monomial.sum_ideals(J, monomial.minimalize(d, extras))
-        reports.append(bounds.check_thm_2_2(ctx, J,
-                       monomial.sum_ideals(J, monomial.minimalize(d, [extras[0]]))))
+        reports.append(bounds.check_thm_2_2(ctx, J, J.extend(extras[:1])))
         reports.append(bounds.check_thm_2_3(ctx, J, extras[0]))
         reports.append(bounds.check_thm_e1hs(ctx, J, extras))
         reports.append(bounds.check_prop_f0(ctx, J, extras))
@@ -191,15 +190,10 @@ def _battery_random_monomial(inst, char_p=None):
             lambda p, check=check: check(
                 invariants.poly_context(d, p or groebner.DEFAULT_PRIME), I,
                 seed=seed + 1, samples=invariants.SAMPLE_COUNT * RESAMPLE_FACTOR)))
-    reports.append(bounds.check_cor_after_3_3(ctx, seed=seed))
+    reports.append(bounds.check_cor_after_3_3(ctx))
     if d <= 2:
         rep = invariants.minimal_reduction(ctx, I, seed=seed)
-        if I.nu() == d:
-            Q = I
-        else:
-            Q = groebner.GroebnerIdeal(groebner.PolyRing(d, ctx.char_p),
-                                       [dict(g) for g in rep.q_descriptor])
-        reports.append(bounds.check_rossi(ctx, Q, I,
+        reports.append(bounds.check_rossi(ctx, rep.reduction, I,
                                           red=rep.reduction_number,
                                           sampled=not rep.certified))
     return reports, {}

@@ -19,6 +19,7 @@ runs, so the module functions remain the implementation.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from operator import methodcaller
 
@@ -93,11 +94,15 @@ class FiberData:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    q_descriptor: tuple
+    reduction: object
     reduction_number: int
     is_minimal: bool
     samples_tried: int
     certified: bool
+
+    @property
+    def q_descriptor(self):
+        return self.reduction.descriptor()
 
 
 @dataclass(frozen=True)
@@ -121,32 +126,24 @@ def to_groebner(ctx, I):
 
 # ---------------------------------------------------------------- sequences
 
-def _power_values(I, nmax, value):
+def _power_sequence(I, nmax, value):
+    """value(I^n) for n = 1..nmax, e.g. lam(R/I^n) or nu(I^n)."""
     out = []
     cur = I
     for n in range(1, nmax + 1):
         out.append(value(cur))
         if n < nmax:
             cur = cur.product(I)
-    return out
+    return binomfit.LengthSequence(1, tuple(out))
 
 
-def length_sequence(I, nmax):
-    """lam(R/I^n) for n = 1..nmax."""
-    return binomfit.LengthSequence(
-        1, tuple(_power_values(I, nmax, methodcaller("colength"))))
-
-
-def nu_sequence(I, nmax):
-    return binomfit.LengthSequence(1, tuple(_power_values(I, nmax, methodcaller("nu"))))
-
-
-def _fit_with_horizon(make_seq, degree, start_horizon, guard=None):
-    horizon = max(start_horizon, degree + 1 + (guard if guard is not None else degree + 2))
+def _fit_with_horizon(make_seq, d, degree):
+    """Fit make_seq(h) at degree from h = 2(d+3), doubling h while it fails."""
+    horizon = 2 * (d + 3)
     while True:
         seq = make_seq(horizon)
         try:
-            report = binomfit.fit_binomial(seq, degree, guard=guard)
+            report = binomfit.fit_binomial(seq, degree)
             return report, seq
         except binomfit.NonPolynomial:
             if horizon >= HORIZON_MAX:
@@ -154,23 +151,23 @@ def _fit_with_horizon(make_seq, degree, start_horizon, guard=None):
             horizon = min(2 * horizon, HORIZON_MAX)
 
 
-def hilbert_coeffs(ctx, I, guard=None):
+def hilbert_coeffs(ctx, I):
     """Hilbert coefficients e_0..e_d of an m-primary ideal."""
     d = ctx.dim
-    report, seq = _fit_with_horizon(lambda h: length_sequence(I, h), d,
-                                    2 * (d + 3), guard)
+    report, seq = _fit_with_horizon(
+        lambda h: _power_sequence(I, h, methodcaller("colength")), d, d)
     return HilbertData(d, report.poly.coeffs, report.postulation_index, seq)
 
 
-def fiber_coeffs(ctx, J, guard=None):
+def fiber_coeffs(ctx, J):
     """Fiber coefficients f_0..f_{d-1}, with an independent f_0 cross-check.
 
     The partial sums of nu(J^n) are of polynomial type of degree d with the
     same leading coefficient, so a second fit at degree d must reproduce f_0.
     """
     d = ctx.dim
-    report, seq = _fit_with_horizon(lambda h: nu_sequence(J, h), d - 1,
-                                    2 * (d + 3), guard)
+    report, seq = _fit_with_horizon(
+        lambda h: _power_sequence(J, h, methodcaller("nu")), d, d - 1)
     sums = []
     acc = 0
     for v in seq.values:
@@ -178,7 +175,7 @@ def fiber_coeffs(ctx, J, guard=None):
         sums.append(acc)
     sum_seq = binomfit.LengthSequence(1, tuple(sums))
     try:
-        sum_fit = binomfit.fit_binomial(sum_seq, d, guard=guard)
+        sum_fit = binomfit.fit_binomial(sum_seq, d)
     except binomfit.NonPolynomial as exc:
         raise OracleMismatch(f"partial-sum fit failed: {exc}")
     if sum_fit.poly.coeffs[0] != report.poly.coeffs[0]:
@@ -188,19 +185,20 @@ def fiber_coeffs(ctx, J, guard=None):
     return FiberData(d, report.poly.coeffs, report.postulation_index, seq)
 
 
-def normal_coeffs(ctx, I, guard=None):
+def normal_coeffs(ctx, I):
     """Hilbert and fiber data of the integral-closure filtration n -> bar(I^n)."""
     d = ctx.dim
     NP = monomial.newton(I)
 
-    def make(seq_index):
-        def build(h):
-            data = monomial.closure_data(I, h, NP=NP)
-            return binomfit.LengthSequence(1, tuple(row[seq_index] for row in data))
-        return build
+    @cache
+    def table(h):
+        return monomial.closure_data(I, h, NP=NP)
 
-    hrep, hseq = _fit_with_horizon(make(0), d, 2 * (d + 3), guard)
-    frep, fseq = _fit_with_horizon(make(1), d - 1, 2 * (d + 3), guard)
+    def column(index):
+        return lambda h: binomfit.LengthSequence(1, tuple(row[index] for row in table(h)))
+
+    hrep, hseq = _fit_with_horizon(column(0), d, d)
+    frep, fseq = _fit_with_horizon(column(1), d, d - 1)
     return (HilbertData(d, hrep.poly.coeffs, hrep.postulation_index, hseq),
             FiberData(d, frep.poly.coeffs, frep.postulation_index, fseq))
 
@@ -226,16 +224,16 @@ def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
     raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
 
 
-def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0, cap=REDUCTION_CAP):
+def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
     """A d-generated reduction with the best reduction number over samples."""
     if ctx.kind == "semigroup":
         e = min(I.gens)
         Q = semigroup.ideal(ctx.numerical, [e])
-        s = reduction_number(ctx, Q, I, cap=cap)
-        return ReductionReport(Q.descriptor(), s, True, 1, True)
+        s = reduction_number(ctx, Q, I)
+        return ReductionReport(Q, s, True, 1, True)
     d = ctx.dim
     if isinstance(I, monomial.MonomialIdeal) and I.nu() == d:
-        return ReductionReport(I.descriptor(), 0, True, 0, True)
+        return ReductionReport(I, 0, True, 0, True)
     Ig = to_groebner(ctx, I)
     best = None
     tried = 0
@@ -244,7 +242,7 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0, cap=REDUCTION_CAP):
                                               rng_seed=seed * 10007 + k)
         tried += 1
         try:
-            s = groebner.reduction_number(Q, Ig, cap=cap)
+            s = groebner.reduction_number(Q, Ig, cap=REDUCTION_CAP)
         except groebner.CapExceeded:
             continue
         if best is None or s < best[1]:
@@ -252,22 +250,21 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0, cap=REDUCTION_CAP):
         if s == 0:
             break
     if best is None:
-        raise NoReductionFound(f"no sampled reduction within cap {cap}")
+        raise NoReductionFound(f"no sampled reduction within cap {REDUCTION_CAP}")
     Q, s = best
-    return ReductionReport(Q.descriptor(), s, True, tried, False)
+    return ReductionReport(Q, s, True, tried, False)
 
 
-def sally_multiplicity(ctx, Q, I, e1_q=None, cap=REDUCTION_CAP):
+def sally_multiplicity(ctx, Q, I):
     """s0 = e1(I) - e1(Q) - e0(I) + lam(R/I) for a reduction Q of I."""
     hil = hilbert_coeffs(ctx, I)
     note = "dim of the Sally module assumed maximal; H^0_m(R) = 0 in these domains"
-    if e1_q is None:
-        if isinstance(Q, groebner.GroebnerIdeal):
-            # a d-generated parameter ideal in a CM ring has e1 = 0
-            e1_q = 0
-            note += "; e1(Q) = 0 taken from the parameter-ideal vanishing"
-        else:
-            e1_q = hilbert_coeffs(ctx, Q).e[1]
+    if isinstance(Q, groebner.GroebnerIdeal):
+        # a d-generated parameter ideal in a CM ring has e1 = 0
+        e1_q = 0
+        note += "; e1(Q) = 0 taken from the parameter-ideal vanishing"
+    else:
+        e1_q = hilbert_coeffs(ctx, Q).e[1]
     lam = I.colength()
     s0 = hil.e[1] - e1_q - hil.e[0] + lam
     return SallyReport(s0, hil.e[1], e1_q, hil.e[0], lam, note)
@@ -280,30 +277,28 @@ def socle_extension(ctx, Q, s):
     return Q.colon(ctx.maximal_ideal().power(s))
 
 
-def nu_power_criterion(ctx, I, cap=REDUCTION_CAP):
+def nu_power_criterion(ctx, I):
     """Least n with nu(I^n) < C(n+d, d); then n-1 bounds some minimal
     reduction number of I."""
     d = ctx.dim
     cur = I
-    for n in range(1, cap + 1):
+    for n in range(1, REDUCTION_CAP + 1):
         if cur.nu() < binomfit.binom(n + d, d):
             return n - 1
         cur = cur.product(I)
-    raise groebner.CapExceeded(f"criterion inconclusive up to n={cap}")
+    raise groebner.CapExceeded(f"criterion inconclusive up to n={REDUCTION_CAP}")
 
 
-def e1_series_check(ctx, Q, I, cap=REDUCTION_CAP):
+def e1_series_check(ctx, Q, I):
     """Independent dim-1 value of e1: sum of lam(I^(n+1)/Q*I^n) over n >= 0."""
     if ctx.dim != 1:
         raise ValueError("series oracle is one-dimensional only")
     total = 0
-    In = None
-    for n in range(cap + 1):
-        Inext = I.power(n + 1)
-        QIs = Q.product(In) if n > 0 else Q
-        step = semigroup.rel_length(Inext, QIs)
+    Inext, QIn = I, Q  # I^(n+1) and Q*I^n, from n = 0
+    for _ in range(REDUCTION_CAP + 1):
+        step = semigroup.rel_length(Inext, QIn)
         total += step
-        if step == 0 and QIs.equals(Inext):
+        if step == 0 and QIn.equals(Inext):
             return total
-        In = Inext
+        Inext, QIn = Inext.product(I), Q.product(Inext)
     raise groebner.CapExceeded("series did not terminate within cap")

@@ -328,11 +328,11 @@ def newton(I):
     return NewtonPolyhedron(d, tuple(sorted(found)))
 
 
-def np_contains(NP, v, scale=1):
-    """Exact test for v in scale * NP."""
+def np_contains(NP, v):
+    """Exact test for v in NP."""
     if len(v) != NP.dim:
         raise ValueError("dimension mismatch")
-    return all(sum(a * x for a, x in zip(normal, v)) >= scale * offset
+    return all(sum(a * x for a, x in zip(normal, v)) >= offset
                for normal, offset in NP.halfspaces)
 
 

@@ -161,7 +161,7 @@ def test_acceptance_6_reduction_bounds():
         mn = mo.power(m, n)
         extra_reports.append(bd.check_thm_3_1(ctx2, mn, seed=n))
         extra_reports.append(bd.check_thm_3_3(ctx2, mn, seed=n))
-        extra_reports.append(bd.check_cor_after_3_3(ctx2, seed=n))
+        extra_reports.append(bd.check_cor_after_3_3(ctx2))
         rep = iv.minimal_reduction(ctx2, mn, seed=n)
         Q = (mn if mn.nu() == 2 else
              gb.GroebnerIdeal(gb.PolyRing(2), [dict(g) for g in rep.q_descriptor]))

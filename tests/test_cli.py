@@ -1,8 +1,11 @@
 """CLI surface tests: verbs, exit codes, deterministic JSON."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealkit import cli
 
@@ -175,3 +178,133 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     assert rc == code
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload, argv", [
+    ({"rings": {"P2": {"kind": "poly", "vars": 2}},
+      "ideals": {"A": {"ring": "P2", "form": "exponents", "data": [2, 3]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"H34": {"kind": "semigroup", "gens": [3, 4]}},
+      "ideals": {"A": {"ring": "H34", "form": "monomial", "data": [[3], [4]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"H34": {"kind": "semigroup", "gens": [3, 4]}},
+      "ideals": {"A": {"ring": "H34", "form": "polynomials",
+                       "data": [[{"exp": [3], "coef": 1}]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ([{"kind": "poly", "vars": 2}], ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P": 5}}, ["check", "--theorem", "cor_after_3_3"]),
+    ({"rings": [], "ideals": {}}, ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2}}, "ideals": {"A": [[2, 0]]}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2}},
+      "ideals": {"A": {"ring": "P2", "form": "monomial",
+                       "data": [[-1, 3], [2, 0], [0, 2]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2}},
+      "ideals": {"A": {"ring": "P2", "form": "polynomials",
+                       "data": [[{"exp": [2], "coef": 1}],
+                                [{"exp": [0, 2], "coef": 1}]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2}},
+      "ideals": {"A": {"ring": "P2", "form": "extend",
+                       "data": {"base": "A", "extra": [[1, 1]]}}}},
+     ["coeffs", "--ideal", "A"]),
+], ids=["exponents_on_poly", "monomial_on_semigroup",
+        "polynomials_on_semigroup", "top_level_array", "ring_not_object",
+        "rings_not_object", "ideal_not_object", "negative_exponent",
+        "short_exponent", "extends_itself"])
+def test_malformed_instance_file_is_input_error(tmp_path, capsys, payload, argv):
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps(payload))
+    rc = cli.main(argv[:1] + ["--file", str(path)] + argv[1:])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+# ------------------------------------------------------------ fuzzing
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from("ABPS"),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from("ABPS"), inner, max_size=2),
+    max_leaves=6)
+
+
+def _paths(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def instance_files(draw):
+    """A small two-ring instance file, then at most one node swapped for junk.
+
+    Forms are usually drawn with the data and ring kind they need, but the
+    ring is the wrong kind one time in four.
+    """
+    d = draw(st.integers(1, 2))
+    vec = st.lists(st.integers(0, 4), min_size=d, max_size=d)
+    elements = st.lists(st.integers(1, 9), min_size=1, max_size=3)
+    data = {
+        "monomial": st.lists(vec, min_size=1, max_size=3),
+        "exponents": elements,
+        "polynomials": st.lists(st.lists(st.fixed_dictionaries(
+            {"exp": vec, "coef": st.integers(1, 3)}), min_size=1, max_size=2),
+            min_size=1, max_size=2),
+        "extend": st.fixed_dictionaries({"base": st.sampled_from("ABC"),
+                                         "extra": st.lists(vec, max_size=2)
+                                         | elements}),
+    }
+    ideals = {}
+    for name in "AB":
+        form = draw(st.sampled_from(sorted(data)))
+        ring = "S" if form == "exponents" else "P"
+        if draw(st.integers(0, 3)) == 0:
+            ring = "P" if ring == "S" else "S"
+        ideals[name] = {"ring": ring, "form": form, "data": draw(data[form])}
+    payload = {"rings": {"P": {"kind": "poly", "vars": d},
+                         "S": {"kind": "semigroup",
+                               "gens": draw(st.sampled_from([[2, 3], [3, 4], [1], [2, 4]]))}},
+               "ideals": ideals}
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_paths(payload))))
+        if not path:
+            return draw(junk)
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(junk)
+    return payload
+
+
+bindings = st.dictionaries(
+    st.sampled_from(["J", "I", "Q", "h", "x", "extra"]),
+    st.sampled_from(["A", "B", "C", "3", "1:1"]), max_size=3)
+verbs = st.one_of(
+    st.tuples(st.sampled_from("ABC"),
+              st.sampled_from([[], ["--fiber"], ["--normal"]])).map(
+        lambda t: ["coeffs", "--ideal", t[0], *t[1]]),
+    st.tuples(st.sampled_from("ABC"), st.integers(0, 2)).map(
+        lambda t: ["minreduce", "--ideal", t[0], "--samples", str(t[1])]),
+    st.tuples(st.sampled_from(sorted(cli.CHECKERS)), bindings).map(
+        lambda t: ["check", "--theorem", t[0], "--bind",
+                   ",".join(f"{k}={v}" for k, v in t[1].items())]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=instance_files(), argv=verbs)
+def test_fuzz_cli_exit_codes(payload, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instances.json")
+        out = os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        rc = cli.main(argv[:1] + ["--file", path, "--json", out] + argv[1:])
+        assert rc in (0, 1, 2, 3)
+        if rc == 1:
+            with open(out) as fh:
+                reports = json.load(fh)["reports"]
+            assert any(r["status"] == "violated" for r in reports)
