@@ -207,7 +207,7 @@ def _best_reduction_bound(ctx, I, seed, samples, good_enough):
     except groebner.CapExceeded:
         details["nu_power_bound"] = None
     settled = best is not None and best <= good_enough
-    if not settled and (ctx.kind == "semigroup" or best is None or best > 0):
+    if not settled:
         try:
             rep = invariants.minimal_reduction(ctx, I, samples=samples, seed=seed)
             details["sampled_red"] = rep.reduction_number

@@ -179,14 +179,12 @@ def cmd_check(args):
                 call.append(tuple(int(t) for t in v.split(":")))
             else:
                 call.append(int(v))
-        elif p == "extra":
-            c, E = _resolve_ideal(data, rings, ideals, v)
-            ctx = ctx or c
-            call.append(list(E.gens))
         else:
             c, ideal_obj = _resolve_ideal(data, rings, ideals, v)
-            ctx = ctx or c
-            call.append(ideal_obj)
+            if ctx not in (None, c):
+                raise InputError(f"ideal {v!r} is not in the ring of the ideals before it")
+            ctx = c
+            call.append(list(ideal_obj.gens) if p == "extra" else ideal_obj)
     if ctx is None:
         ring_name = binds.get("ring") or next(iter(rings), None)
         if ring_name is None:

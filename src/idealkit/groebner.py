@@ -32,6 +32,12 @@ class NonStabilizing(Exception):
     """Origin is not an isolated point of the zero set, or quotient too large."""
 
 
+class ConeNotMPrimary(NonStabilizing, monomial.NotMPrimary):
+    """A homogeneous ideal that is not zero-dimensional: its zero set is a cone
+    through the origin, so the origin is not isolated and the input is not
+    m-primary (an input error, where other NonStabilizing cases are limits)."""
+
+
 class CapExceeded(Exception):
     pass
 
@@ -385,7 +391,9 @@ def local_colength(A):
         A._local_colength = 0
         return 0
     if not monomial.is_m_primary(init):
-        raise NonStabilizing("ideal is not zero-dimensional")
+        if all(len({sum(e) for e in f}) == 1 for f in A.gens):
+            raise ConeNotMPrimary("homogeneous ideal is not m-primary")
+        raise NonStabilizing("the local colength needs a zero-dimensional ideal")
     D = monomial.colength(init)
     basis = A.lead_pairs
     nilpotent = True
@@ -524,11 +532,9 @@ def random_minimal_reduction(gens, d, ring, rng_seed):
 
 def reduction_number(Q, I, cap=30):
     """Least s with I^(s+1) = Q * I^s in the localization at the origin."""
-    In = ideal_power(I, 0)
+    QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
     for s in range(cap + 1):
-        Inext = ideal_product(In, I)
-        QIs = ideal_product(Q, In) if s > 0 else Q
         if local_ideal_equal(QIs, Inext):
             return s
-        In = Inext
+        QIs, Inext = ideal_product(Q, Inext), ideal_product(Inext, I)
     raise CapExceeded(f"no reduction relation up to cap {cap}")

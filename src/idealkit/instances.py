@@ -141,7 +141,7 @@ def _retry_unresolved(report, rerun):
     """Resample with a larger budget and a second prime before accepting."""
     if report.status != "unresolved":
         return report
-    for char_p in (None, SECOND_PRIME):
+    for char_p in (groebner.DEFAULT_PRIME, SECOND_PRIME):
         retry = rerun(char_p)
         if retry.status != "unresolved":
             return retry
@@ -188,7 +188,7 @@ def _battery_random_monomial(inst):
         reports.append(_retry_unresolved(
             check(ctx, I, seed=seed),
             lambda p, check=check: check(
-                invariants.poly_context(d, p or groebner.DEFAULT_PRIME), I,
+                invariants.poly_context(d, p), I,
                 seed=seed + 1, samples=invariants.SAMPLE_COUNT * RESAMPLE_FACTOR)))
     reports.append(bounds.check_cor_after_3_3(ctx))
     if d <= 2:

@@ -214,13 +214,11 @@ def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
                                          cap=cap)
     if not I.contains_ideal(Q):
         raise ValueError("Q is not contained in I")
-    Is = I.power(0)
+    QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
     for s in range(cap + 1):
-        Isp1 = Is.product(I)
-        QIs = Q.product(Is)
-        if QIs.equals(Isp1):
+        if QIs.equals(Inext):
             return s
-        Is = Isp1
+        QIs, Inext = Q.product(Inext), Inext.product(I)
     raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
 
 

@@ -39,7 +39,6 @@ def _minimal_antichain(vectors):
         for v in vs:
             if not any(all(k <= x for k, x in zip(k_, v)) for k_ in kept):
                 kept.append(v)
-            continue
         return sorted(kept)
     # degree-grouped numpy pass: a dominator always has strictly smaller degree
     kept = []

@@ -1,12 +1,16 @@
 """Numerical semigroups and monomial ideals of the semigroup power-series ring.
 
-A numerical semigroup H is stored by its generators, conductor and a
-membership table on [0, conductor).  Ideals of k[[t^H]] generated by monomials
-t^e correspond bijectively to sets E = gens + H, stored by their minimal
-generators (an antichain under e <=_H f iff f - e in H).  Every ideal is
-cofinite, so colengths, colons and equality tests reduce to finite windows.
+A numerical semigroup H with multiplicity m is stored by its generators and
+its Apery set for m: apery[r] is the least element of H congruent to r mod m,
+so x lies in H iff x >= apery[x % m], and the conductor is max(apery) - m + 1
+(Selmer).  Ideals of k[[t^H]] generated by monomials t^e correspond
+bijectively to sets E = gens + H; since E + m lies in E, such a set is stored
+by its floors, floors[r] being the least element of E congruent to r mod m.
+Floors are canonical, and lengths, sums, products and colons are closed forms
+on them (Rosales & Garcia-Sanchez, Numerical Semigroups, 2009).
 """
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -22,28 +26,28 @@ class WindowOverflow(Exception):
 @dataclass(frozen=True)
 class NumericalSemigroup:
     generators: tuple
-    conductor: int
-    membership: tuple  # booleans on [0, conductor)
+    apery: tuple  # apery[r] = least element congruent to r mod multiplicity
 
     def contains(self, x):
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return self.membership[x]
+        return x >= self.apery[x % len(self.apery)]
+
+    @property
+    def multiplicity(self):
+        """Least positive element; the multiplicity of k[[t^H]]."""
+        return len(self.apery)
+
+    @property
+    def conductor(self):
+        return max(self.apery) - self.multiplicity + 1
 
     @property
     def frobenius(self):
         """Largest gap, or -1 when H is all of the nonnegative integers."""
         return self.conductor - 1
 
-    @property
-    def multiplicity(self):
-        """Least positive element; the multiplicity of k[[t^H]]."""
-        return min(g for g in self.generators if g > 0)
-
     def gaps(self):
-        return tuple(x for x in range(self.conductor) if not self.membership[x])
+        m = self.multiplicity
+        return tuple(sorted(x for r, a in enumerate(self.apery) for x in range(r, a, m)))
 
     def elements_below(self, bound):
         return [x for x in range(bound) if self.contains(x)]
@@ -68,54 +72,40 @@ def semigroup(gens):
         g = gcd(g, x)
     if g != 1:
         raise NotCoprime(f"gcd of generators is {g}")
-    lo = gens[0]
-    limit = gens[0] * (gens[1] if len(gens) > 1 else 1) + max(gens) + 1
-    while True:
-        reach = [False] * limit
-        reach[0] = True
-        for x in range(limit):
-            if reach[x]:
-                for s in gens:
-                    if x + s < limit:
-                        reach[x + s] = True
-        # certified conductor: a run of lo consecutive members closes under +lo
-        conductor = None
-        run = 0
-        for x in range(limit):
-            run = run + 1 if reach[x] else 0
-            if run >= lo:
-                conductor = x - lo + 1
-                while conductor > 0 and reach[conductor - 1]:
-                    conductor -= 1
-                break
-        if conductor is not None:
-            return NumericalSemigroup(tuple(gens), conductor,
-                                      tuple(reach[:conductor]))
-        limit *= 2
+    # shortest paths over the residues mod m, each generator an edge
+    m = gens[0]
+    apery = [None] * m
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if apery[r] is not None:
+            continue
+        apery[r] = w
+        for s in gens[1:]:
+            heapq.heappush(heap, (w + s, (r + s) % m))
+    return NumericalSemigroup(tuple(gens), tuple(apery))
 
 
 def is_symmetric(H):
-    """Gorenstein test: exactly one of z, F-z lies in H for 0 <= z < conductor."""
-    F = H.frobenius
-    if F < 0:
-        return True
-    return all(H.contains(z) != H.contains(F - z) for z in range(H.conductor))
+    """Gorenstein test: exactly one of z, F-z lies in H for 0 <= z < conductor,
+    that is, H has conductor / 2 gaps."""
+    return 2 * len(H.gaps()) == H.conductor
 
 
 @dataclass(frozen=True)
 class SemigroupIdeal:
     ambient: NumericalSemigroup
-    gens: tuple
+    floors: tuple  # floors[r] = least element congruent to r mod multiplicity
 
     def contains(self, x):
-        return any(self.ambient.contains(x - g) for g in self.gens)
+        return x >= self.floors[x % len(self.floors)]
 
     @property
-    def max_gen(self):
-        return max(self.gens)
-
-    def elements_below(self, bound):
-        return [x for x in range(bound) if self.contains(x)]
+    def gens(self):
+        """Minimal generators: the floors a with no floor b < a and a - b in H."""
+        H = self.ambient
+        return tuple(sorted(a for a in self.floors
+                            if not any(b < a and H.contains(a - b) for b in self.floors)))
 
     # The ideal protocol (see invariants): methods call module functions by name.
 
@@ -148,7 +138,7 @@ class SemigroupIdeal:
 
     def integral_over(self, x):
         """t^x lies in the integral closure of the ideal."""
-        return x >= min(self.gens) and self.ambient.contains(x)
+        return x >= min(self.floors) and self.ambient.contains(x)
 
     def extend(self, extra):
         """The ideal plus the elements t^x for x in extra."""
@@ -159,39 +149,40 @@ class SemigroupIdeal:
 
 
 def ideal(H, gens):
-    """Semigroup ideal from a raw generator list (minimalized antichain)."""
+    """Semigroup ideal generated by t^g for g in gens."""
     gens = sorted(set(int(g) for g in gens))
     if not gens:
         raise ValueError("empty generator list")
     for g in gens:
         if not H.contains(g):
             raise ValueError(f"generator {g} not in the semigroup")
-    mins = []
-    for g in gens:
-        if not any(H.contains(g - e) for e in mins):
-            mins.append(g)
-    return SemigroupIdeal(H, tuple(mins))
+    m = H.multiplicity
+    return SemigroupIdeal(H, tuple(min(g + H.apery[(r - g) % m] for g in gens)
+                                   for r in range(m)))
 
 
 def maximal_ideal(H):
-    return ideal(H, [g for g in H.minimal_generators() if g > 0])
+    return SemigroupIdeal(H, (H.multiplicity,) + H.apery[1:])
 
 
 def sum_ideals(E, F):
     _same_ambient(E, F)
-    return ideal(E.ambient, E.gens + F.gens)
+    return SemigroupIdeal(E.ambient, tuple(map(min, E.floors, F.floors)))
 
 
 def product(E, F):
     _same_ambient(E, F)
-    return ideal(E.ambient, [a + b for a in E.gens for b in F.gens])
+    m = len(E.floors)
+    return SemigroupIdeal(E.ambient, tuple(
+        min(a + F.floors[(r - i) % m] for i, a in enumerate(E.floors))
+        for r in range(m)))
 
 
 def power(E, n):
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
-        return ideal(E.ambient, [0])
+        return SemigroupIdeal(E.ambient, E.ambient.apery)
     result = E
     for _ in range(n - 1):
         result = product(result, E)
@@ -204,44 +195,36 @@ def nu(E):
 
 def colength(E):
     """Length of R/E: the number of semigroup elements outside E."""
-    H = E.ambient
-    bound = H.conductor + E.max_gen
-    return sum(1 for x in range(bound) if H.contains(x) and not E.contains(x))
+    m = len(E.floors)
+    return sum((f - a) // m for f, a in zip(E.floors, E.ambient.apery))
 
 
 def rel_length(E, F):
     """Length of E/F for F contained in E."""
-    H = E.ambient
-    bound = H.conductor + max(E.max_gen, F.max_gen)
-    count = 0
-    for x in range(bound):
-        ein = E.contains(x)
-        fin = F.contains(x)
-        if fin and not ein:
-            raise ValueError("F not contained in E")
-        if ein and not fin:
-            count += 1
-    return count
+    _same_ambient(E, F)
+    if any(f < e for e, f in zip(E.floors, F.floors)):
+        raise ValueError("F not contained in E")
+    m = len(E.floors)
+    return sum((f - e) // m for e, f in zip(E.floors, F.floors))
 
 
 def colon(E, F):
     """Colon ideal (E : F) inside the semigroup ring."""
     _same_ambient(E, F)
-    H = E.ambient
-    top = H.conductor + E.max_gen + H.conductor + H.multiplicity + 1
-    members = [a for a in range(top) if H.contains(a)
-               and all(E.contains(a + f) for f in F.gens)]
-    if not members:
-        raise WindowOverflow("empty colon window; malformed input")
-    return ideal(H, members)
+    m = len(E.floors)
+    return SemigroupIdeal(E.ambient, tuple(
+        max(a, max(E.floors[(r + j) % m] - f for j, f in enumerate(F.floors)))
+        for r, a in enumerate(E.ambient.apery)))
 
 
 def contains_ideal(E, F):
-    return all(E.contains(g) for g in F.gens)
+    _same_ambient(E, F)
+    return all(e <= f for e, f in zip(E.floors, F.floors))
 
 
 def equals(E, F):
-    return E.gens == F.gens
+    _same_ambient(E, F)
+    return E.floors == F.floors
 
 
 def order(E):
@@ -262,14 +245,11 @@ def canonical_ideal(H):
     """Canonical ideal {x : F - x not in H}, shifted minimally into H."""
     F = H.frobenius
     K = [x for x in range(F + 1) if not H.contains(F - x)]
-    # beyond F everything belongs; the shift must land all of K (a cofinite
-    # H-relative ideal) inside H, which for the infinite tail [F+1, oo) means
-    # s + F + 1 must reach the conductor
-    tail = list(range(F + 1, F + 2 + H.multiplicity + H.conductor))
-    for s in range(H.conductor + F + 2):
-        if s + F + 1 >= H.conductor and all(H.contains(k + s) for k in K):
-            return ideal(H, [k + s for k in K + tail])
-    raise WindowOverflow("no canonical shift found")
+    s = 0
+    while not all(H.contains(k + s) for k in K):
+        s += 1
+    # every x > F belongs to K; m consecutive ones generate that tail
+    return ideal(H, [k + s for k in K + list(range(F + 1, F + 1 + H.multiplicity))])
 
 
 def _same_ambient(E, F):

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit import cli
+from idealkit import cli, instances
 
 
 INSTANCE_FILE = {
@@ -121,6 +121,11 @@ def test_sweep_count_zero(capsys):
     assert payload["aggregate"] == {}
 
 
+def test_sweep_worker_pool_matches_serial():
+    serial = instances.sweep("semigroup_small", count=6, seed=13, jobs=1)
+    assert instances.sweep("semigroup_small", count=6, seed=13, jobs=2) == serial
+
+
 def test_sweep_unknown_family():
     assert cli.main(["sweep", "--family", "nope"]) == 2
 
@@ -167,8 +172,21 @@ def test_minreduce_monomial_own_reduction(instance_path, capsys):
                                     [{"exp": [0, 1], "coef": 1}]]}}},
      ["coeffs", "--ideal", "mpoly", "--normal"], 2),
     ({}, ["minreduce", "--ideal", "msq", "--samples", "0"], 3),
+    # (0, y^2): homogeneous and not zero-dimensional, so not m-primary
+    ({"ideals": {"gz": {"ring": "P2", "form": "polynomials",
+                        "data": [[{"exp": [0, 0], "coef": 0}],
+                                 [{"exp": [0, 2], "coef": 1}]]}}},
+     ["coeffs", "--ideal", "gz"], 2),
+    # (x^2 - x, xy - y) is (x, y) at the origin but vanishes on x = 1
+    ({"ideals": {"gl": {"ring": "P2", "form": "polynomials",
+                        "data": [[{"exp": [2, 0], "coef": 1},
+                                  {"exp": [1, 0], "coef": -1}],
+                                 [{"exp": [1, 1], "coef": 1},
+                                  {"exp": [0, 1], "coef": -1}]]}}},
+     ["coeffs", "--ideal", "gl"], 3),
 ], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
-        "no_reduction_found"])
+        "no_reduction_found", "gfp_homogeneous_not_m_primary",
+        "gfp_not_zero_dimensional"])
 def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     data = {key: {**INSTANCE_FILE[key], **extra.get(key, {})}
             for key in INSTANCE_FILE}
@@ -209,10 +227,15 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
       "ideals": {"A": {"ring": "P2", "form": "extend",
                        "data": {"base": "A", "extra": [[1, 1]]}}}},
      ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P1": {"kind": "poly", "vars": 1},
+                "H34": {"kind": "semigroup", "gens": [3, 4]}},
+      "ideals": {"M": {"ring": "P1", "form": "monomial", "data": [[3]]},
+                 "E": {"ring": "H34", "form": "exponents", "data": [6, 8]}}},
+     ["check", "--theorem", "thm_2_2", "--bind", "J=M,I=E"]),
 ], ids=["exponents_on_poly", "monomial_on_semigroup",
         "polynomials_on_semigroup", "top_level_array", "ring_not_object",
         "rings_not_object", "ideal_not_object", "negative_exponent",
-        "short_exponent", "extends_itself"])
+        "short_exponent", "extends_itself", "bindings_in_two_rings"])
 def test_malformed_instance_file_is_input_error(tmp_path, capsys, payload, argv):
     path = tmp_path / "instances.json"
     path.write_text(json.dumps(payload))

@@ -1,6 +1,9 @@
 """Unit tests for numerical semigroups and their monomial ideals."""
 
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from idealkit import semigroup as sg
 
@@ -111,3 +114,63 @@ def test_contains_and_equals():
     F = sg.ideal(H, [6, 7, 11])
     assert sg.equals(E, F)
     assert sg.contains_ideal(E, sg.ideal(H, [10]))
+
+
+# ------------------------------------------------ brute-force oracle
+
+def _members(gens, hi):
+    """Membership in the semigroup generated by gens on [0, hi), by reachability."""
+    member = [True] + [False] * (hi - 1)
+    for x in range(1, hi):
+        member[x] = any(g <= x and member[x - g] for g in gens)
+    return member
+
+
+@st.composite
+def semigroup_and_ideals(draw):
+    m = draw(st.integers(1, 12))
+    gens = [m] + draw(st.lists(st.integers(m + 1, 3 * m + 1), min_size=1, max_size=3))
+    assume(gcd(*gens) == 1)
+    # every Apery element is a sum of at most m - 1 generators
+    member = _members(gens, m * max(gens) + 1)
+    elements = [x for x in range(len(member)) if member[x]]
+    ideals = [draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4))
+              for _ in range(2)]
+    return gens, ideals
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=semigroup_and_ideals())
+def test_apery_engine_matches_membership_oracle(case):
+    gens, (a, b) = case
+    H = sg.semigroup(gens)
+    # conductor <= m * max(gens), and past conductor + max(a) + max(b) each
+    # ideal below contains everything, so [0, hi) decides them all
+    hi = 2 * (min(gens) * max(gens) + max(a) + max(b))
+    member = _members(gens, hi + max(b))
+    conductor = max((x + 1 for x in range(hi) if not member[x]), default=0)
+    assert H.conductor == conductor
+    assert H.gaps() == tuple(x for x in range(conductor) if not member[x])
+
+    def in_ideal(g, x):
+        return any(x >= e and member[x - e] for e in g)
+
+    def oracle_gens(g):
+        return tuple(x for x in range(hi) if in_ideal(g, x)
+                     and not any(in_ideal(g, x - h) for h in range(1, x + 1) if member[h]))
+
+    def same(ideal, test):
+        return all(ideal.contains(x) == test(x) for x in range(hi))
+
+    E, F = sg.ideal(H, a), sg.ideal(H, b)
+    assert E.gens == oracle_gens(a)
+    assert F.gens == oracle_gens(b)
+    assert sg.colength(E) == sum(member[x] and not in_ideal(a, x) for x in range(hi))
+    sums = [x + y for x in a for y in b]
+    P = sg.product(E, F)
+    assert same(P, lambda x: in_ideal(sums, x))
+    assert sg.rel_length(E, P) == sum(in_ideal(a, x) and not in_ideal(sums, x)
+                                      for x in range(hi))
+    C = sg.colon(E, F)
+    assert same(C, lambda x: member[x] and all(in_ideal(a, x + f) for f in b))
+    assert sg.contains_ideal(E, F) == all(in_ideal(a, f) for f in b)
