@@ -205,6 +205,10 @@ def cmd_sweep(args):
     if args.family not in instances.FAMILIES:
         raise InputError(f"unknown family {args.family!r}; "
                          f"known: {list(instances.FAMILIES)}")
+    if args.count is not None and args.count < 0:
+        raise InputError(f"--count must be >= 0, not {args.count}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, not {args.jobs}")
     result = instances.sweep(args.family, count=args.count, seed=args.seed,
                              jobs=args.jobs)
     _emit(result, args.json)

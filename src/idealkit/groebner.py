@@ -531,7 +531,14 @@ def random_minimal_reduction(gens, d, ring, rng_seed):
 
 
 def reduction_number(Q, I, cap=30):
-    """Least s with I^(s+1) = Q * I^s in the localization at the origin."""
+    """Least s with I^(s+1) = Q * I^s in the localization at the origin.
+
+    Comparing local colengths decides equality only when Q*I^s lies in
+    I^(s+1) at the origin, so Q must lie in I there: as polynomials, or else
+    I + Q has the local colength of I."""
+    if not (I.contains_ideal(Q) or local_colength(I) == local_colength(
+            GroebnerIdeal(I.ring, I.gens + Q.gens))):
+        raise ValueError("Q is not contained in I")
     QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
     for s in range(cap + 1):
         if local_ideal_equal(QIs, Inext):

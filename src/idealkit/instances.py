@@ -162,7 +162,7 @@ def _battery_e0Ih(inst):
         {(0, b, 0): 1, (0, 0, c): p - 1},
         {(alpha, beta, gamma): 1},
     ])
-    red = groebner.reduction_number(Q, invariants.to_groebner(ctx, I))
+    red = invariants.reduction_number(ctx, Q, I)
     reports.append(bounds.check_cor_e1para(ctx, Q, I, red=red))
     return reports, {"red_Q_I": red}
 
@@ -310,7 +310,8 @@ def aggregate(records):
 def sweep(family, count=None, seed=0, jobs=1):
     insts = make_family(family, count, seed)
     if jobs > 1 and len(insts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(insts))) as pool:
             records = list(pool.map(run_battery, insts))
     else:
         records = [run_battery(i) for i in insts]

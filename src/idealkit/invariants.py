@@ -20,8 +20,11 @@ runs, so the module functions remain the implementation.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from math import isqrt
 from operator import methodcaller
+
+import numpy as np
 
 from . import binomfit, groebner, monomial, semigroup
 
@@ -206,19 +209,49 @@ def normal_coeffs(ctx, I):
 # ---------------------------------------------------------------- reductions
 
 def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
-    """Least s with I^(s+1) = Q * I^s, in the exact engine unless Q or I is
-    a GF(p) ideal."""
-    if (isinstance(Q, groebner.GroebnerIdeal)
-            or isinstance(I, groebner.GroebnerIdeal)):
-        return groebner.reduction_number(to_groebner(ctx, Q), to_groebner(ctx, I),
-                                         cap=cap)
-    if not I.contains_ideal(Q):
+    """Least s with I^(s+1) = Q * I^s (at the origin for GF(p) ideals).
+
+    A GF(p) ideal I goes to groebner.reduction_number.  For a monomial I and
+    any Q (monomial, or GF(p) polynomials) this is graded Nakayama on the
+    fiber cone: I^(s+1) = Q*I^s locally iff the images of the products q*g
+    (q a generator of Q, g a minimal generator of I^s) span I^(s+1)/m*I^(s+1),
+    whose basis is the minimal generators w of I^(s+1).  Every term u of q
+    lies in I, so u*g lies in m*I^(s+1) unless it is one of the w; the
+    products thus give a matrix over GF(p) (entry c where q = ... + c*u and
+    u*g = w), and s is the least step at which it has full column rank.
+    """
+    if isinstance(I, groebner.GroebnerIdeal):
+        return groebner.reduction_number(to_groebner(ctx, Q), I, cap=cap)
+    if isinstance(I, semigroup.SemigroupIdeal):
+        if not I.contains_ideal(Q):
+            raise ValueError("Q is not contained in I")
+        QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
+        for s in range(cap + 1):
+            if QIs.equals(Inext):
+                return s
+            QIs, Inext = Q.product(Inext), Inext.product(I)
+        raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
+    if isinstance(Q, groebner.GroebnerIdeal):
+        qs, p = Q.gens, Q.ring.char_p
+    else:
+        qs, p = [{u: 1} for u in Q.gens], ctx.char_p
+    # a polynomial lies in a monomial ideal iff each of its terms does
+    if not all(I.member(u) for q in qs for u in q):
         raise ValueError("Q is not contained in I")
-    QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
+    Is, Inext = monomial.unit_ideal(I.dim), I  # I^s and I^(s+1), from s = 0
     for s in range(cap + 1):
-        if QIs.equals(Inext):
-            return s
-        QIs, Inext = Q.product(Inext), Inext.product(I)
+        column = {w: k for k, w in enumerate(Inext.gens)}
+        nrows = len(qs) * len(Is.gens)
+        if nrows >= len(column):  # fewer rows cannot have full column rank
+            M = np.zeros((nrows, len(column)), dtype=np.int64)
+            for r, (q, g) in enumerate(product(qs, Is.gens)):
+                for u, c in q.items():
+                    k = column.get(tuple(a + b for a, b in zip(u, g)))
+                    if k is not None:
+                        M[r, k] = c
+            if groebner._rank_mod(M, p) == len(column):
+                return s
+        Is, Inext = Inext, Inext.product(I)
     raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
 
 
@@ -240,7 +273,7 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
                                               rng_seed=seed * 10007 + k)
         tried += 1
         try:
-            s = groebner.reduction_number(Q, Ig, cap=REDUCTION_CAP)
+            s = reduction_number(ctx, Q, I)
         except groebner.CapExceeded:
             continue
         if best is None or s < best[1]:

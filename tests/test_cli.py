@@ -126,6 +126,34 @@ def test_sweep_worker_pool_matches_serial():
     assert instances.sweep("semigroup_small", count=6, seed=13, jobs=2) == serial
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--jobs", "0")])
+def test_sweep_rejects_negative_count_and_no_jobs(capsys, flag, value):
+    assert cli.main(["sweep", "--family", "example_2_4", flag, value]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_sweep_pool_no_larger_than_the_sweep(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(instances, "ProcessPoolExecutor", SerialPool)
+    serial = instances.sweep("example_2_4", count=2, jobs=1)
+    assert instances.sweep("example_2_4", count=2, jobs=500) == serial
+    assert sizes == [2]
+
+
 def test_sweep_unknown_family():
     assert cli.main(["sweep", "--family", "nope"]) == 2
 
@@ -161,6 +189,10 @@ def test_minreduce_monomial_own_reduction(instance_path, capsys):
     assert payload["reduction_number"] == 0
 
 
+Q_X3_Y = {"ring": "P2", "form": "polynomials",
+          "data": [[{"exp": [3, 0], "coef": 1}], [{"exp": [0, 1], "coef": 1}]]}
+
+
 @pytest.mark.parametrize("extra, argv, code", [
     ({"ideals": {"Jnp": {"ring": "P2", "form": "monomial",
                          "data": [[3, 0], [1, 1]]}}},
@@ -184,9 +216,18 @@ def test_minreduce_monomial_own_reduction(instance_path, capsys):
                                  [{"exp": [1, 1], "coef": 1},
                                   {"exp": [0, 1], "coef": -1}]]}}},
      ["coeffs", "--ideal", "gl"], 3),
+    # Q = (x^3, y) is not contained in I = (x^2, xy, y^2), though both
+    # have local colength 3
+    ({"ideals": {"Qp": Q_X3_Y}},
+     ["check", "--theorem", "rossi", "--bind", "Q=Qp,I=msq"], 2),
+    ({"ideals": {"Qp": Q_X3_Y, "Ip": {
+        "ring": "P2", "form": "polynomials",
+        "data": [[{"exp": v, "coef": 1}] for v in ([2, 0], [1, 1], [0, 2])]}}},
+     ["check", "--theorem", "rossi", "--bind", "Q=Qp,I=Ip"], 2),
 ], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
         "no_reduction_found", "gfp_homogeneous_not_m_primary",
-        "gfp_not_zero_dimensional"])
+        "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
+        "gfp_q_not_in_gfp_i"])
 def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     data = {key: {**INSTANCE_FILE[key], **extra.get(key, {})}
             for key in INSTANCE_FILE}

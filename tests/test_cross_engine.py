@@ -7,16 +7,17 @@ import pytest
 from idealkit import groebner as gb
 from idealkit import invariants as iv
 from idealkit import monomial as mo
+from idealkit.instances import SECOND_PRIME
 
 
-def _random_ideal(rng, d, max_exp=4):
+def _random_ideal(rng, d, max_exp=4, interior=None):
     pure = [rng.randint(2, max_exp) for _ in range(d)]
     gens = []
     for i in range(d):
         e = [0] * d
         e[i] = pure[i]
         gens.append(tuple(e))
-    for _ in range(rng.randint(0, d)):
+    for _ in range(rng.randint(0, d) if interior is None else interior):
         g = tuple(rng.randint(0, b - 1) for b in pure)
         if any(g):
             gens.append(g)
@@ -61,6 +62,46 @@ def test_reduction_number_agreement_sampled():
         s_gb = gb.reduction_number(gb.from_monomial_ideal(Q),
                                    gb.from_monomial_ideal(I))
         assert s_mono == s_gb
+
+
+def test_fiber_cone_rank_matches_buchberger_on_gfp_q():
+    """The rank path of iv.reduction_number against gb.reduction_number.
+
+    Sampled Q are d random GF(p) combinations of I's generators, at both
+    primes a sweep uses.  In d = 3 Buchberger on Q*I^s takes seconds once I
+    has five generators or exponents of 4, so the d = 3 ideals are pure
+    powers up to 3 plus one monomial.
+    """
+    seen = set()
+    for idx in range(40):
+        rng = random.Random(6200 + idx)
+        d = 2 + idx % 2
+        I = (_random_ideal(rng, 2, interior=2) if d == 2
+             else _random_ideal(rng, 3, max_exp=3, interior=1))
+        for p in (gb.DEFAULT_PRIME, SECOND_PRIME):
+            ctx = iv.poly_context(d, p)
+            Ig = iv.to_groebner(ctx, I)
+            Q = gb.random_minimal_reduction(list(Ig.gens), d, Ig.ring, rng_seed=idx)
+            s = iv.reduction_number(ctx, Q, I)
+            assert s == gb.reduction_number(Q, Ig), (I.gens, p)
+            seen.add((d, s))
+    assert {(2, 1), (2, 2), (3, 1), (3, 2)} <= seen
+    # the e0Ih reduction Q = (x^a - z^c, y^b - z^c, h) of I = (x^a, y^b, z^c, h)
+    both = (gb.DEFAULT_PRIME, SECOND_PRIME)
+    for (a, b, c), h, r, primes in (
+            ((5, 5, 5), (1, 1, 1), 2, both),
+            ((6, 7, 8), (1, 2, 1), 2, both),
+            ((8, 8, 8), (2, 1, 2), 2, both),
+            ((5, 7, 7), (2, 2, 2), 6, both[:1])):  # Buchberger takes seconds here
+        I = mo.minimalize(3, [(a, 0, 0), (0, b, 0), (0, 0, c), h])
+        for p in primes:
+            ctx = iv.poly_context(3, p)
+            ring = gb.PolyRing(3, p)
+            Q = gb.GroebnerIdeal(ring, [{(a, 0, 0): 1, (0, 0, c): p - 1},
+                                        {(0, b, 0): 1, (0, 0, c): p - 1},
+                                        {h: 1}])
+            assert iv.reduction_number(ctx, Q, I) == r, (a, b, c, h, p)
+            assert gb.reduction_number(Q, iv.to_groebner(ctx, I)) == r
 
 
 def test_powers_agree():

@@ -124,6 +124,18 @@ def test_reduction_number_monomial_oracle():
     assert gb.reduction_number(I, I) == 0
 
 
+def test_reduction_number_needs_q_in_i_at_the_origin():
+    ring = _ring(2)
+    p = ring.char_p
+    # (x^3, y) and (x^2, xy, y^2) both have colength 3, but y is not in I
+    I = gb.GroebnerIdeal(ring, [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}])
+    with pytest.raises(ValueError):
+        gb.reduction_number(gb.GroebnerIdeal(ring, [{(3, 0): 1}, {(0, 1): 1}]), I)
+    # (x^2 - x, y) is (x, y) at the origin, so (x, y) lies in it there only
+    I = gb.GroebnerIdeal(ring, [{(2, 0): 1, (1, 0): p - 1}, {(0, 1): 1}])
+    assert gb.reduction_number(gb.GroebnerIdeal(ring, [{(1, 0): 1}, {(0, 1): 1}]), I) == 0
+
+
 def test_random_minimal_reduction_deterministic():
     ring = _ring(2)
     gens = [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}]
