@@ -7,11 +7,10 @@ basis
     P(n) = sum_{i=0}^{D} (-1)^i c_i * C(n+D-1-i, D-i),
 
 the convention in which Hilbert-Samuel coefficients e_0, ..., e_d and fiber
-coefficients f_0, ..., f_{d-1} live.  All arithmetic is exact integer/rational.
+coefficients f_0, ..., f_{d-1} live.  All arithmetic is exact integer.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class NonPolynomial(Exception):
@@ -102,50 +101,38 @@ def finite_difference(seq):
     return LengthSequence(seq.start_n, tuple(v[i + 1] - v[i] for i in range(len(v) - 1)))
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Q; returns solution or None if singular."""
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    n = len(m)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def fit_binomial(seq, dim_d):
     """Fit a degree-<=dim_d signed binomial polynomial to the trailing window.
 
     The last 2*dim_d+3 values are used: dim_d+1 for interpolation and a guard
-    window fixed at dim_d+2 further points for verification.  Raises
-    NonPolynomial when the guard points disagree (caller should extend the
-    sequence and retry).
+    window fixed at dim_d+2 further points for verification.  The window is a
+    polynomial of degree <= dim_d exactly when its dim_d+2 differences of
+    order dim_d+1 vanish; otherwise NonPolynomial is raised (caller should
+    extend the sequence and retry).  The coefficients then follow from the
+    differences at the window start n0 by back-substitution in
+
+        Delta^k P(n0) = sum_{i <= D-k} (-1)^i c_i * C(n0+D-1-i, D-i-k),
+
+    whose last term is (-1)^(D-k) c_(D-k); every step is integral.
     """
     need = 2 * dim_d + 3
     if len(seq) < need:
         raise WindowTooShort(f"need {need} values, have {len(seq)}")
     window_start = seq.end_n - need + 1
-    fit_ns = list(range(window_start, window_start + dim_d + 1))
-    rows = []
-    for n in fit_ns:
-        rows.append([(-1 if i % 2 else 1) * binom(n + dim_d - 1 - i, dim_d - i)
-                     for i in range(dim_d + 1)])
-    sol = _solve_exact(rows, [seq.at(n) for n in fit_ns])
-    if sol is None:
-        raise NonPolynomial("degenerate interpolation window")
-    if any(c.denominator != 1 for c in sol):
-        raise NonPolynomial("non-integral binomial coefficients")
-    poly = BinomialPolynomial(dim_d, tuple(int(c) for c in sol))
-    for n in range(window_start + dim_d + 1, seq.end_n + 1):
-        if eval_binomial(poly, n) != seq.at(n):
-            raise NonPolynomial(f"guard point n={n} disagrees")
+    table = [LengthSequence(window_start, seq.values[-need:])]
+    for _ in range(dim_d + 1):
+        table.append(finite_difference(table[-1]))
+    # a nonzero difference at offset j first involves the point n0+dim_d+1+j
+    bad = next((j for j, v in enumerate(table[-1].values) if v), None)
+    if bad is not None:
+        raise NonPolynomial(f"guard point n={window_start + dim_d + 1 + bad} disagrees")
+    coeffs = []
+    for k in range(dim_d, -1, -1):
+        i = dim_d - k
+        known = sum((-1) ** j * c * binom(window_start + dim_d - 1 - j, i - j)
+                    for j, c in enumerate(coeffs))
+        coeffs.append((-1) ** i * (table[k].values[0] - known))
+    poly = BinomialPolynomial(dim_d, tuple(coeffs))
     # least n in the sampled range from which the polynomial matches onward
     postulation = window_start
     for n in range(window_start - 1, seq.start_n - 1, -1):

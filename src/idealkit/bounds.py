@@ -99,7 +99,7 @@ def check_thm_2_3(ctx, J, h):
     return _report("thm_2_3", hyps, e1_i - e1_j, red * lam * f0, witness)
 
 
-def check_cor_e1para(ctx, Q, I, red=None, sampled=False):
+def check_cor_e1para(ctx, Q, I, red=None):
     """e1(I) <= red_Q(I) * lam(R/(Q:I)) for a minimal reduction Q.
 
     In Gorenstein contexts the colon colength equals e0(I) - lam(R/I), giving
@@ -121,7 +121,7 @@ def check_cor_e1para(ctx, Q, I, red=None, sampled=False):
         witness["gorenstein_identity_ok"] = identity_ok
         witness["gorenstein_rhs"] = red * (hil.e[0] - lam_i)
     return _report("cor_e1para", hyps, hil.e[1], red * lam_colon, witness,
-                   sampled=sampled, extra_ok=identity_ok)
+                   extra_ok=identity_ok)
 
 
 def check_thm_e1hs(ctx, J, extra):

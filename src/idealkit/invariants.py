@@ -20,7 +20,7 @@ runs, so the module functions remain the implementation.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 from operator import methodcaller
 
@@ -167,20 +167,15 @@ def fiber_coeffs(ctx, J):
 
     The partial sums of nu(J^n) are of polynomial type of degree d with the
     same leading coefficient, so a second fit at degree d must reproduce f_0.
+    They need one more polynomial point than nu(J^n) does, so the horizon is
+    the first at which the partial sums fit; the direct fit holds there too.
     """
     d = ctx.dim
-    report, seq = _fit_with_horizon(
-        lambda h: _power_sequence(J, h, methodcaller("nu")), d, d - 1)
-    sums = []
-    acc = 0
-    for v in seq.values:
-        acc += v
-        sums.append(acc)
-    sum_seq = binomfit.LengthSequence(1, tuple(sums))
-    try:
-        sum_fit = binomfit.fit_binomial(sum_seq, d)
-    except binomfit.NonPolynomial as exc:
-        raise OracleMismatch(f"partial-sum fit failed: {exc}")
+    nus = cache(lambda h: _power_sequence(J, h, methodcaller("nu")))
+    sum_fit, sums = _fit_with_horizon(
+        lambda h: binomfit.LengthSequence(1, tuple(accumulate(nus(h).values))), d, d)
+    seq = nus(len(sums))
+    report = binomfit.fit_binomial(seq, d - 1)
     if sum_fit.poly.coeffs[0] != report.poly.coeffs[0]:
         raise OracleMismatch(
             f"f0 mismatch: direct {report.poly.coeffs[0]}, "

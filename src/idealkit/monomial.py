@@ -4,13 +4,12 @@ Ideals are stored by their minimal generating exponent vectors (a canonical
 antichain), so ideal equality is list equality.  Colengths and minimal
 generator counts are computed on boolean membership grids: generators are
 marked in the staircase box and an or-accumulate along every axis produces the
-full monomial membership table.  Newton polyhedra are built by exact rational
+full monomial membership table.  Newton polyhedra are built by exact integer
 facet enumeration, which gives integral closures and normal powers.
 """
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -55,7 +54,7 @@ def _minimal_antichain(vectors):
         else:
             dominated = (group[:, None, :] >= arr_kept[None, :, :]).all(axis=2).any(axis=1)
             survivors = group[~dominated]
-        kept.extend(map(tuple, survivors))
+        kept.extend(map(tuple, survivors.tolist()))
         arr_kept = np.array(kept, dtype=np.int64)
         i = j
     return sorted(kept)
@@ -245,56 +244,23 @@ class NewtonPolyhedron:
     halfspaces: tuple
 
 
-def _nullspace_vector(rows, d):
-    """One-dimensional rational nullspace of the given row constraints, or None."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(d) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    vec = [Fraction(0)] * d
-    vec[f] = Fraction(1)
-    for row_i, col in enumerate(pivots):
-        vec[col] = -m[row_i][f]
-    return vec
-
-
-def _canonical_halfspace(vec, offset):
-    denom = 1
-    for x in list(vec) + [offset]:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    off = int(offset * denom)
-    g = 0
-    for x in ints + [off]:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-        off = off // g
-    return tuple(ints), off
+def _det(m):
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
 
 
 def newton(I):
     """Newton polyhedron conv(gens) + nonnegative orthant, by facet enumeration.
 
-    Every facet hyperplane is spanned by generators and coordinate directions,
-    so candidate normals come from rational nullspaces of those subsets; only
-    valid supporting halfspaces with nonnegative normals are kept.
+    Every facet hyperplane is spanned by k generators and d-k coordinate
+    directions.  Its normal vanishes on those axes, and on the other k
+    coordinates it is the vector of signed maximal minors of the k-1
+    generator differences, which is zero exactly when they are dependent.
+    Only valid supporting halfspaces with nonnegative normals are kept, each
+    divided by the gcd of its normal.
     """
     if not isinstance(I, MonomialIdeal):
         raise DimensionUnsupported("Newton polyhedra need the monomial engine")
@@ -305,25 +271,21 @@ def newton(I):
     found = set()
     for k in range(1, d + 1):
         for S in combinations(gens, k):
-            for axes in combinations(range(d), d - k):
-                rows = []
-                for i in axes:
-                    row = [0] * d
-                    row[i] = 1
-                    rows.append(row)
+            for free in combinations(range(d), k):
                 g0 = S[0]
-                for g in S[1:]:
-                    rows.append([gi - g0i for gi, g0i in zip(g, g0)])
-                vec = _nullspace_vector(rows, d)
-                if vec is None:
-                    continue
+                diffs = [[g[i] - g0[i] for i in free] for g in S[1:]]
+                vec = [0] * d
+                for j, i in enumerate(free):
+                    vec[i] = (-1) ** j * _det([row[:j] + row[j + 1:] for row in diffs])
                 if all(x <= 0 for x in vec):
                     vec = [-x for x in vec]
                 if any(x < 0 for x in vec) or all(x == 0 for x in vec):
                     continue
+                common = gcd(*vec)
+                vec = tuple(x // common for x in vec)
                 offset = sum(v * g for v, g in zip(vec, g0))
                 if all(sum(v * gi for v, gi in zip(vec, g)) >= offset for g in gens):
-                    found.add(_canonical_halfspace(vec, offset))
+                    found.add((vec, offset))
     return NewtonPolyhedron(d, tuple(sorted(found)))
 
 

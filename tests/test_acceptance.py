@@ -5,6 +5,8 @@ Every criterion prints "ACCEPTANCE n: PASS <detail>" on success so a plain
 All comparisons are exact integers.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -22,6 +24,11 @@ def _ok(n, detail):
 
 
 _SWEEP_CACHE = {}
+
+# SHA-256 of json.dumps(records, sort_keys=True) over the records of
+# `sweep --family random_monomial_d3 --count 100 --seed 12`, the second half
+# of the shared sweep: any change to one of its integers or reports shows here
+D3_RECORDS_SHA256 = "ef981c5c810b9708d24fac67ed6a383c739bca8c37f5bd7c45fd60f55b9a4b38"
 
 
 def _sweep_200():
@@ -143,6 +150,8 @@ def test_acceptance_5_theorem_sweep_200():
         for rep in rec["reports"]:
             if rep["theorem_id"] == "prop_f0" and rep["status"] == "verified":
                 assert rep["witness"]["intermediate_f0_le_e1_ok"]
+    d3_text = json.dumps(records[100:], sort_keys=True)
+    assert hashlib.sha256(d3_text.encode()).hexdigest() == D3_RECORDS_SHA256
     elapsed = time.time() - t0
     assert elapsed < 300
     counts = {tid: agg[tid]["verified"] for tid in watched}

@@ -1,6 +1,7 @@
 """Unit tests for the binomial-basis fitting core."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealkit import binomfit as bf
 
@@ -77,3 +78,30 @@ def test_fit_rejects_fractional_coefficients():
     seq = bf.LengthSequence(1, tuple(n * n * n // 7 for n in range(1, 12)))
     with pytest.raises(bf.NonPolynomial):
         bf.fit_binomial(seq, 2)
+
+
+NONZERO = st.integers(-9, 9).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_recovers_polynomial_after_garbage_prefix(data):
+    D = data.draw(st.integers(0, 4), label="D")
+    coeffs = data.draw(st.lists(st.integers(-500, 500), min_size=D + 1, max_size=D + 1))
+    p = bf.BinomialPolynomial(D, coeffs)
+    start = data.draw(st.integers(-6, 0), label="start")
+    # garbage offsets on the first values; the last one is nonzero, so the
+    # polynomial holds exactly from start + len(garbage) on
+    garbage = data.draw(st.lists(st.integers(-9, 9), max_size=4))
+    if garbage:
+        garbage[-1] = data.draw(NONZERO)
+    length = len(garbage) + 2 * D + 3 + data.draw(st.integers(0, 4))
+    values = [bf.eval_binomial(p, start + j) for j in range(length)]
+    values[:len(garbage)] = [v + g for v, g in zip(values, garbage)]
+    rep = bf.fit_binomial(bf.LengthSequence(start, values), D)
+    assert rep.poly.coeffs == tuple(coeffs)
+    assert rep.postulation_index == start + len(garbage)
+    guard = data.draw(st.integers(length - D - 2, length - 1), label="guard")
+    values[guard] += data.draw(NONZERO)
+    with pytest.raises(bf.NonPolynomial):
+        bf.fit_binomial(bf.LengthSequence(start, values), D)

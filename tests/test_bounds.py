@@ -55,8 +55,7 @@ def test_thm_2_3_skips_non_integral(ctx2):
 def test_cor_e1para_gorenstein_identity(ctx2, msq):
     rep_min = iv.minimal_reduction(ctx2, msq, samples=4, seed=9)
     Q = gb.GroebnerIdeal(gb.PolyRing(2), [dict(g) for g in rep_min.q_descriptor])
-    rep = bd.check_cor_e1para(ctx2, Q, msq, red=rep_min.reduction_number,
-                              sampled=True)
+    rep = bd.check_cor_e1para(ctx2, Q, msq, red=rep_min.reduction_number)
     assert rep.status == "verified"
     assert (rep.lhs, rep.rhs) == (1, 1)
     assert rep.witness["gorenstein_identity_ok"]

@@ -189,6 +189,34 @@ def test_minreduce_monomial_own_reduction(instance_path, capsys):
     assert payload["reduction_number"] == 0
 
 
+def test_minreduce_output_independent_of_redundant_generators(tmp_path, capsys):
+    # 65 given vectors take the numpy minimalization pass, 2 the plain one
+    outputs = []
+    for data in ([[2, 0], [0, 2]], [[2, 0], [0, 2]] + [[2, k] for k in range(1, 64)]):
+        path = tmp_path / f"param{len(data)}.json"
+        path.write_text(json.dumps({**INSTANCE_FILE, "ideals": {
+            "param": {"ring": "P2", "form": "monomial", "data": data}}}))
+        assert cli.main(["minreduce", "--file", str(path), "--ideal", "param"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["q_descriptor"] == [[0, 2], [2, 0]]
+
+
+def test_fiber_fit_needing_a_longer_horizon(tmp_path, capsys):
+    # nu(I^n) = 2, 3, 4, 5, 6, 7, 7, ...: polynomial from n = 6, its partial
+    # sums from n = 5 only
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({
+        "rings": {"H": {"kind": "semigroup", "gens": [7, 9, 16, 18, 26]}},
+        "ideals": {"I": {"ring": "H", "form": "exponents", "data": [16, 18]}}}))
+    assert cli.main(["coeffs", "--file", str(path), "--ideal", "I", "--fiber"]) == 0
+    assert json.loads(capsys.readouterr().out)["f"] == [7]
+    assert cli.main(["check", "--file", str(path), "--theorem", "thm_2_2",
+                     "--bind", "J=I,I=I"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert (report["status"], report["witness"]["f0_J"]) == ("verified", 7)
+
+
 Q_X3_Y = {"ring": "P2", "form": "polynomials",
           "data": [[{"exp": [3, 0], "coef": 1}], [{"exp": [0, 1], "coef": 1}]]}
 

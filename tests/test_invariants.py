@@ -68,6 +68,17 @@ def test_fiber_constant_in_dim1(ctx479):
     assert len(fib.f) == 1  # degree-0 fit: eventually constant nu
 
 
+def test_fiber_partial_sums_widen_the_horizon():
+    # nu(I^n) = 2, 3, 4, 5, 6, 7, 7, ... is constant from n = 6, so the first
+    # window (n = 6..8) fits; its partial sums are linear only from n = 5, so
+    # their window (n = 4..8) does not, and the horizon must double
+    ctx = iv.semigroup_context(sg.semigroup([7, 9, 16, 18, 26]))
+    fib = iv.fiber_coeffs(ctx, sg.ideal(ctx.numerical, [16, 18]))
+    assert fib.f == (7,)
+    assert fib.postulation == 6
+    assert len(fib.sequence) == 16
+
+
 def test_normal_coeffs_preserve_e0(ctx2):
     for raw in ([(2, 0), (0, 2)], [(3, 0), (1, 1), (0, 3)], [(4, 0), (0, 5)]):
         I = mo.minimalize(2, raw)

@@ -1,8 +1,11 @@
 """Unit tests for the monomial ideal engine, with brute-force oracles."""
 
 from itertools import product as iproduct
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealkit import monomial as mo
 
@@ -77,6 +80,52 @@ def test_newton_halfspaces_of_mixed_ideal():
     assert ((3, 1), 4) in NP.halfspaces
     assert mo.np_contains(NP, (1, 1))
     assert not mo.np_contains(NP, (1, 0))
+
+
+def facets_by_normal_search(I, bound):
+    """Facets of NP(I) among the primitive normals in [0, bound]^d.
+
+    Each w >= 0 supports NP at min <w, g>; the halfspace is a facet when the
+    generators on it and the axes it contains span a hyperplane.
+    """
+    d = I.dim
+    facets = set()
+    for w in iproduct(range(bound + 1), repeat=d):
+        if gcd(*w) != 1:
+            continue
+        dots = [sum(a * x for a, x in zip(w, g)) for g in I.gens]
+        offset = min(dots)
+        tight = [g for g, t in zip(I.gens, dots) if t == offset]
+        rows = [np.subtract(g, tight[0]) for g in tight[1:]]
+        rows += [np.eye(d, dtype=int)[i] for i in range(d) if w[i] == 0]
+        if (np.linalg.matrix_rank(np.array(rows)) if rows else 0) == d - 1:
+            facets.add((w, offset))
+    return facets
+
+
+@st.composite
+def m_primary_ideals(draw):
+    d = draw(st.integers(1, 3))
+    top = 6 if d <= 2 else 3
+    pure = [draw(st.integers(1, top)) for _ in range(d)]
+    gens = [tuple(p * (i == j) for j in range(d)) for i, p in enumerate(pure)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, top)] * d), max_size=4))
+    return mo.minimalize(d, gens), top
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_primary_ideals())
+def test_newton_halfspaces_are_the_primitive_facets(case):
+    I, top = case
+    NP = mo.newton(I)
+    for normal, offset in NP.halfspaces:
+        assert all(a >= 0 for a in normal)
+        assert gcd(*normal) == 1
+        dots = [sum(a * x for a, x in zip(normal, g)) for g in I.gens]
+        assert min(dots) == offset  # valid on every generator, tight on one
+    # facet normals are minors of generator differences: entries at most top
+    # for d <= 2 and 2 * top^2 for d = 3
+    assert set(NP.halfspaces) == facets_by_normal_search(I, 2 * top ** 2 if I.dim == 3 else top)
 
 
 def test_integral_closure_adds_diagonal():
