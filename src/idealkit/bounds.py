@@ -310,6 +310,8 @@ def check_rossi(ctx, Q, I, red=None, sampled=False):
 def check_normalization(ctx, I):
     """e0(I) <= min(f0(I)*lam(R/I), f0bar(I)*lam(R/Ibar)) (monomial engine)."""
     hyps = [("monomial_engine", isinstance(I, monomial.MonomialIdeal))]
+    if not hyps[0][1]:
+        return _report("normalization", hyps, 0, 0, {"reason": "I is not a monomial ideal"})
     e0 = invariants.hilbert_coeffs(ctx, I).e[0]
     f0 = invariants.fiber_coeffs(ctx, I).f[0]
     lam = I.colength()

@@ -7,8 +7,8 @@ Verbs:
     minreduce  sample minimal reductions and report the best one found
 
 Exit codes: 0 success (check: verified/unresolved), 1 a bound was violated,
-2 input or binding error, 3 a computation hit a limit (horizon, cap, grid size
-or sample budget).
+2 input or binding error, 3 a computation hit a limit (horizon, cap, staircase
+size or sample budget).
 """
 
 import argparse

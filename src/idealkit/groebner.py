@@ -375,12 +375,6 @@ def _rank_mod(A, p):
     return r
 
 
-def _standard_monomials(init_ideal):
-    bounds = monomial.pure_bounds(init_ideal)
-    grid = monomial._members_grid(init_ideal.gens, bounds)
-    return sorted(map(tuple, np.argwhere(~grid).tolist()))
-
-
 def local_colength(A):
     """Length of the quotient in the localization at the origin."""
     if A._local_colength is not None:
@@ -408,7 +402,7 @@ def local_colength(A):
         return D
     if D > MATRIX_CAP:
         raise NonStabilizing("quotient too large for the local split")
-    std = _standard_monomials(init)
+    std = monomial.standard_monomials(init)
     index = {m: k for k, m in enumerate(std)}
     p = ring.char_p
     mats = []

@@ -152,8 +152,7 @@ def _battery_e0Ih(inst):
     a, b, c, alpha, beta, gamma = inst["params"]
     ctx = invariants.poly_context(3)
     J = monomial.minimalize(3, [(a, 0, 0), (0, b, 0), (0, 0, c)])
-    h = (alpha, beta, gamma)
-    I = monomial.sum_ideals(J, monomial.minimalize(3, [h]))
+    I = J.extend([(alpha, beta, gamma)])
     reports = [bounds.check_thm_2_2(ctx, J, I)]
     ring = groebner.PolyRing(3, ctx.char_p)
     p = ring.char_p
@@ -175,7 +174,7 @@ def _battery_random_monomial(inst):
     seed = inst["seed"]
     reports = []
     if extras:
-        I = monomial.sum_ideals(J, monomial.minimalize(d, extras))
+        I = J.extend(extras)
         reports.append(bounds.check_thm_2_2(ctx, J, J.extend(extras[:1])))
         reports.append(bounds.check_thm_2_3(ctx, J, extras[0]))
         reports.append(bounds.check_thm_e1hs(ctx, J, extras))

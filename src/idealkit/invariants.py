@@ -57,12 +57,8 @@ class RingContext:
     def maximal_ideal(self):
         if self.kind == "semigroup":
             return semigroup.maximal_ideal(self.numerical)
-        gens = []
-        for i in range(self.dim):
-            e = [0] * self.dim
-            e[i] = 1
-            gens.append(tuple(e))
-        return monomial.MonomialIdeal(self.dim, tuple(gens))
+        return monomial.minimalize(
+            self.dim, [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)])
 
 
 def poly_context(dim, char_p=groebner.DEFAULT_PRIME):

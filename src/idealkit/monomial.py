@@ -1,21 +1,25 @@
-"""Exact arithmetic of m-primary monomial ideals in a localized polynomial ring.
+"""Exact arithmetic of monomial ideals in a localized polynomial ring.
 
-Ideals are stored by their minimal generating exponent vectors (a canonical
-antichain), so ideal equality is list equality.  Colengths and minimal
-generator counts are computed on boolean membership grids: generators are
-marked in the staircase box and an or-accumulate along every axis produces the
-full monomial membership table.  Newton polyhedra are built by exact integer
-facet enumeration, which gives integral closures and normal powers.
+An ideal of k[x_1..x_d] is stored by its sorted minimal generators (so ideal
+equality is list equality) and its staircase heights: h(a), for a in N^(d-1),
+is the least e with x^(a,e) in the ideal, or INF.  h is an int64 array over
+the box a_i <= (largest exponent of x_i in a generator), past which it repeats
+its last slice.  Colengths, sums, products and colons are closed forms on h,
+and integral closures follow from Newton polyhedra built by exact integer
+facet enumeration.
 """
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-GRID_CELL_CAP = 400_000_000  # refuse membership grids bigger than this
+GRID_CELL_CAP = 50_000_000  # refuse staircases with more cells (400 MB of int64)
+INF = 1 << 62  # the height of a column that meets no monomial of the ideal
+HEIGHT_CAP = 1 << 31  # finite heights stay below this, so sums of them fit int64
 
 
 class NotMPrimary(Exception):
@@ -30,36 +34,6 @@ class Exhausted(Exception):
     """The ideal is integrally closed; no integral monomial outside it."""
 
 
-def _minimal_antichain(vectors):
-    """Componentwise-minimal elements of a set of exponent vectors, sorted."""
-    vs = sorted(set(map(tuple, vectors)), key=lambda v: (sum(v), v))
-    if len(vs) <= 64:
-        kept = []
-        for v in vs:
-            if not any(all(k <= x for k, x in zip(k_, v)) for k_ in kept):
-                kept.append(v)
-        return sorted(kept)
-    # degree-grouped numpy pass: a dominator always has strictly smaller degree
-    kept = []
-    arr_kept = None
-    i = 0
-    while i < len(vs):
-        j = i
-        deg = sum(vs[i])
-        while j < len(vs) and sum(vs[j]) == deg:
-            j += 1
-        group = np.array(vs[i:j], dtype=np.int64)
-        if arr_kept is None or len(kept) == 0:
-            survivors = group
-        else:
-            dominated = (group[:, None, :] >= arr_kept[None, :, :]).all(axis=2).any(axis=1)
-            survivors = group[~dominated]
-        kept.extend(map(tuple, survivors.tolist()))
-        arr_kept = np.array(kept, dtype=np.int64)
-        i = j
-    return sorted(kept)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Minimal generators of a monomial ideal, canonically sorted."""
@@ -72,6 +46,11 @@ class MonomialIdeal:
         for g in self.gens:
             if len(g) != self.dim:
                 raise ValueError("generator dimension mismatch")
+
+    @cached_property
+    def heights(self):
+        """Staircase heights, read-only; built here unless an operation set them."""
+        return minimalize(self.dim, self.gens).heights
 
     def contains_monomial(self, v):
         return any(all(gi <= vi for gi, vi in zip(g, v)) for g in self.gens)
@@ -121,11 +100,56 @@ class MonomialIdeal:
         return self.gens
 
 
+def _box(shape):
+    """A staircase shape (one cell for d = 1); MemoryError past the cap."""
+    shape = tuple(int(s) for s in shape) or (1,)
+    if prod(shape) > GRID_CELL_CAP:
+        raise MemoryError(f"staircase of {prod(shape)} cells is over the cap")
+    return shape
+
+
+def _fit(h, shape):
+    """h over a box at least as large, repeating its last slices."""
+    if h.shape == shape:
+        return h
+    return np.pad(h, [(0, s - n) for n, s in zip(h.shape, shape)], mode="edge")
+
+
+def _from_heights(dim, h):
+    """The ideal with staircase heights h, a fresh array that it keeps.  Its
+    generators are the finite cells where h drops along every axis."""
+    h[h > INF >> 1] = INF  # INF plus or minus a height is still INF
+    drops = h < INF
+    for ax in range(dim - 1):
+        cut = (slice(None),) * ax
+        drops[cut + (slice(1, None),)] &= h[cut + (slice(1, None),)] < h[cut + (slice(-1),)]
+    if h.max(where=drops, initial=0) >= HEIGHT_CAP:
+        raise MemoryError("staircase heights are over the cap")
+    cells = np.argwhere(drops)
+    I = MonomialIdeal(dim, [(*a[:dim - 1], e) for a, e in
+                            zip(cells.tolist(), h[drops].tolist())])
+    h = h[tuple(slice(b) for b in cells.max(axis=0) + 1)]
+    h.flags.writeable = False
+    I.__dict__["heights"] = h
+    return I
+
+
 def minimalize(dim, raw):
     """Build a MonomialIdeal from an arbitrary generator list."""
     if not raw:
         raise ValueError("empty generator list")
-    return MonomialIdeal(dim, _minimal_antichain(raw))
+    if any(len(v) != dim for v in raw):
+        raise ValueError("generator dimension mismatch")
+    pure = [min((v[i] for v in raw if sum(v) == v[i]), default=INF) for i in range(dim)]
+    # a multiple of a pure power x_i^p lies in (x_i^p): clip it there to keep the box small
+    cols = [[min(x, p) for x in c] for c, p in zip(zip(*raw), pure)]
+    if max(cols[-1]) >= HEIGHT_CAP:
+        raise MemoryError("staircase heights are over the cap")
+    h = np.full(_box(max(c) + 1 for c in cols[:-1]), INF, dtype=np.int64)
+    np.minimum.at(h, tuple(cols[:-1]) or ([0] * len(raw),), cols[-1])  # d = 1: one cell
+    for ax in range(dim - 1):
+        np.minimum.accumulate(h, axis=ax, out=h)
+    return _from_heights(dim, h)
 
 
 def unit_ideal(dim):
@@ -134,56 +158,45 @@ def unit_ideal(dim):
 
 def is_m_primary(I):
     """True iff a pure power of every variable lies in the ideal."""
-    for i in range(I.dim):
-        if not any(all(g[j] == 0 for j in range(I.dim) if j != i) for g in I.gens):
-            return False
+    try:
+        pure_bounds(I)
+    except NotMPrimary:
+        return False
     return True
 
 
 def pure_bounds(I):
     """Least pure-power exponent on each axis; raises NotMPrimary."""
+    h, d = I.heights, I.dim
     bounds = []
-    for i in range(I.dim):
-        axis = [g[i] for g in I.gens if all(g[j] == 0 for j in range(I.dim) if j != i)]
-        if not axis:
+    for i in range(d - 1):
+        axis = h[(0,) * i + (slice(None),) + (0,) * (d - 2 - i)]
+        if axis[-1]:
             raise NotMPrimary(f"no pure power of variable {i}")
-        bounds.append(min(axis))
-    return tuple(bounds)
+        bounds.append(int(np.count_nonzero(axis)))
+    if h.flat[0] == INF:
+        raise NotMPrimary(f"no pure power of variable {d - 1}")
+    return (*bounds, int(h.flat[0]))
 
 
-def _members_grid(gens, box):
-    """Boolean grid over prod(box): True where the monomial lies in the ideal."""
-    if int(np.prod(box)) > GRID_CELL_CAP:
-        raise MemoryError("membership grid too large")
-    grid = np.zeros(box, dtype=bool)
-    for g in gens:
-        if all(gi < bi for gi, bi in zip(g, box)):
-            grid[g] = True
-    for ax in range(len(box)):
-        np.logical_or.accumulate(grid, axis=ax, out=grid)
-    return grid
+def _between(lo, hi, dim):
+    """The vectors (a, e) with lo(a) <= e < hi(a), in lexicographic order."""
+    cells = lo < hi
+    return [(*a[:dim - 1], e) for a, l, u in
+            zip(np.argwhere(cells).tolist(), lo[cells].tolist(), hi[cells].tolist())
+            for e in range(l, u)]
 
 
-def _minimal_from_grid(grid):
-    """Minimal elements of an upward-closed boolean grid, as sorted tuples."""
-    below = np.zeros_like(grid)
-    for ax in range(grid.ndim):
-        sl_to = [slice(None)] * grid.ndim
-        sl_from = [slice(None)] * grid.ndim
-        sl_to[ax] = slice(1, None)
-        sl_from[ax] = slice(None, -1)
-        np.logical_or(below[tuple(sl_to)], grid[tuple(sl_from)], out=below[tuple(sl_to)])
-    mins = grid & ~below
-    return sorted(map(tuple, np.argwhere(mins).tolist()))
+def standard_monomials(I):
+    """Exponent vectors of the monomials outside the m-primary ideal I, sorted."""
+    pure_bounds(I)
+    return _between(np.zeros_like(I.heights), I.heights, I.dim)
 
 
 def colength(I):
     """Number of standard monomials; equals the length of R/I."""
-    bounds = pure_bounds(I)
-    if I.is_unit:
-        return 0
-    grid = _members_grid(I.gens, bounds)
-    return int(np.prod(bounds)) - int(grid.sum())
+    pure_bounds(I)
+    return int(I.heights.sum())
 
 
 def nu(I):
@@ -203,10 +216,17 @@ def sum_ideals(I, J):
 
 
 def product(I, J):
+    """IJ: h(a) is the least h_I(a - g') + g_d over the generators g of J."""
     if I.dim != J.dim:
         raise ValueError("dimension mismatch")
-    cands = {tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens}
-    return minimalize(I.dim, cands)
+    shape = _box(np.add(I.heights.shape, J.heights.shape) - 1)
+    big = _fit(I.heights, shape)
+    out = np.full(shape, INF, dtype=np.int64)
+    for g in J.gens:
+        at = tuple(slice(x, None) for x in g[:-1])
+        np.minimum(out[at], big[tuple(slice(n - x) for x, n in zip(g[:-1], shape))] + g[-1],
+                   out=out[at])
+    return _from_heights(I.dim, out)
 
 
 def power(I, n):
@@ -219,21 +239,22 @@ def power(I, n):
 
 
 def colon(J, I):
-    """Colon ideal (J : I), intersecting (J : h) over the generators h of I."""
+    """Colon ideal (J : I): h(a) is the max of h_J(a + g') - g_d and 0 over the
+    generators g of I."""
     if J.dim != I.dim:
         raise ValueError("dimension mismatch")
-    result = None
-    for h in I.gens:
-        quotient = minimalize(
-            J.dim, [tuple(max(gi - hi, 0) for gi, hi in zip(g, h)) for g in J.gens])
-        result = quotient if result is None else intersect(result, quotient)
-    return result
+    h = J.heights
+    out = np.zeros_like(h)
+    for g in I.gens:
+        shifted = h[tuple(slice(min(x, n - 1), None) for x, n in zip(g[:-1], h.shape))]
+        np.maximum(out, _fit(shifted, h.shape) - g[-1], out=out)
+    return _from_heights(J.dim, out)
 
 
 def intersect(I, J):
-    """Intersection of monomial ideals via pairwise componentwise max."""
-    cands = {tuple(max(a, b) for a, b in zip(g, h)) for g in I.gens for h in J.gens}
-    return minimalize(I.dim, cands)
+    """Intersection of monomial ideals: the elementwise max of the heights."""
+    shape = _box(np.maximum(I.heights.shape, J.heights.shape))
+    return _from_heights(I.dim, np.maximum(_fit(I.heights, shape), _fit(J.heights, shape)))
 
 
 @dataclass(frozen=True)
@@ -297,26 +318,22 @@ def np_contains(NP, v):
                for normal, offset in NP.halfspaces)
 
 
-def _closure_grid(I, NP, n):
-    """Membership grid of the integral closure of I^n over its staircase box."""
-    bounds = []
-    for i in range(I.dim):
-        b = 0
-        for normal, offset in NP.halfspaces:
-            if normal[i] > 0 and offset > 0:
-                b = max(b, -((-n * offset) // normal[i]))  # ceil division
-        bounds.append(b + 1)
-    if int(np.prod(bounds)) > GRID_CELL_CAP:
-        raise MemoryError("closure grid too large")
-    coords = np.indices(bounds, dtype=np.int64)
-    mask = np.ones(tuple(bounds), dtype=bool)
+def _closure_heights(I, NP, n):
+    """Heights of the integral closure of I^n (I m-primary): the least e with
+    <normal, (a, e)> >= n * offset on every facet of NP(I).  A facet with
+    normal_d = 0 has offset 0, as NP(I) meets every axis."""
+    shape = _box(n * (s - 1) + 1 for s in I.heights.shape[:I.dim - 1])
+    axes = np.indices(shape, sparse=True)
+    out = np.zeros(shape, dtype=np.int64)
     for normal, offset in NP.halfspaces:
-        acc = np.zeros(tuple(bounds), dtype=np.int64)
-        for i, a in enumerate(normal):
-            if a:
-                acc += a * coords[i]
-        mask &= acc >= n * offset
-    return mask, bounds
+        if normal[-1] > 0:
+            if n * offset + sum(w * s for w, s in zip(normal[:-1], shape)) >= INF:
+                raise MemoryError("closure staircase is over the int64 range")
+            rest = np.full(shape, n * offset, dtype=np.int64)
+            for w, ax in zip(normal[:-1], axes):
+                rest -= w * ax
+            np.maximum(out, -(-rest // normal[-1]), out=out)
+    return out
 
 
 def integral_closure(I, n=1, NP=None):
@@ -327,32 +344,23 @@ def integral_closure(I, n=1, NP=None):
         raise ValueError("n >= 1 required")
     if NP is None:
         NP = newton(I)
-    mask, _ = _closure_grid(I, NP, n)
-    return MonomialIdeal(I.dim, _minimal_from_grid(mask))
+    return _from_heights(I.dim, _closure_heights(I, NP, n))
 
 
 def closure_data(I, nmax, NP=None):
     """(colength, nu) of the integral closure of I^n for n = 1..nmax."""
+    pure_bounds(I)
     if NP is None:
         NP = newton(I)
-    out = []
-    for n in range(1, nmax + 1):
-        mask, bounds = _closure_grid(I, NP, n)
-        lam = int(np.prod(bounds)) - int(mask.sum())
-        out.append((lam, len(_minimal_from_grid(mask))))
-    return out
+    closures = (_from_heights(I.dim, _closure_heights(I, NP, n)) for n in range(1, nmax + 1))
+    return [(int(C.heights.sum()), len(C.gens)) for C in closures]
 
 
 def sample_integral_element(J, rng_seed):
     """A deterministic monomial integral over J but not in J."""
     if not is_m_primary(J):
         raise NotMPrimary("sampling requires an m-primary ideal")
-    NP = newton(J)
-    bounds = tuple(b + 1 for b in pure_bounds(J))
-    closure_mask, _ = _closure_grid(J, NP, 1)
-    closure_mask = closure_mask[tuple(slice(0, b) for b in bounds)]
-    ideal_mask = _members_grid(J.gens, bounds)
-    cands = sorted(map(tuple, np.argwhere(closure_mask & ~ideal_mask).tolist()))
+    cands = _between(_closure_heights(J, newton(J), 1), J.heights, J.dim)
     if not cands:
         raise Exhausted("ideal is integrally closed")
     rng = random.Random(rng_seed)

@@ -26,8 +26,10 @@ def _ok(n, detail):
 _SWEEP_CACHE = {}
 
 # SHA-256 of json.dumps(records, sort_keys=True) over the records of
-# `sweep --family random_monomial_d3 --count 100 --seed 12`, the second half
+# `sweep --family random_monomial_d2 --count 100 --seed 11` and
+# `sweep --family random_monomial_d3 --count 100 --seed 12`, the two halves
 # of the shared sweep: any change to one of its integers or reports shows here
+D2_RECORDS_SHA256 = "c36ffef38a7a62b92b5fac5421a30388b24af21ef12e120e25bc14a83c2e51b2"
 D3_RECORDS_SHA256 = "ef981c5c810b9708d24fac67ed6a383c739bca8c37f5bd7c45fd60f55b9a4b38"
 
 
@@ -150,8 +152,10 @@ def test_acceptance_5_theorem_sweep_200():
         for rep in rec["reports"]:
             if rep["theorem_id"] == "prop_f0" and rep["status"] == "verified":
                 assert rep["witness"]["intermediate_f0_le_e1_ok"]
-    d3_text = json.dumps(records[100:], sort_keys=True)
-    assert hashlib.sha256(d3_text.encode()).hexdigest() == D3_RECORDS_SHA256
+    for half, digest in ((records[:100], D2_RECORDS_SHA256),
+                         (records[100:], D3_RECORDS_SHA256)):
+        text = json.dumps(half, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
     elapsed = time.time() - t0
     assert elapsed < 300
     counts = {tid: agg[tid]["verified"] for tid in watched}

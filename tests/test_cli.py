@@ -217,6 +217,7 @@ def test_fiber_fit_needing_a_longer_horizon(tmp_path, capsys):
     assert (report["status"], report["witness"]["f0_J"]) == ("verified", 7)
 
 
+HUGE = {"ring": "P2", "form": "monomial", "data": [[1000000000, 0], [0, 1]]}
 Q_X3_Y = {"ring": "P2", "form": "polynomials",
           "data": [[{"exp": [3, 0], "coef": 1}], [{"exp": [0, 1], "coef": 1}]]}
 
@@ -252,10 +253,13 @@ Q_X3_Y = {"ring": "P2", "form": "polynomials",
         "ring": "P2", "form": "polynomials",
         "data": [[{"exp": v, "coef": 1}] for v in ([2, 0], [1, 1], [0, 2])]}}},
      ["check", "--theorem", "rossi", "--bind", "Q=Qp,I=Ip"], 2),
+    # x^1000000000 gives a staircase box of 10^9 + 1 cells, over the cap
+    ({"ideals": {"huge": HUGE}}, ["coeffs", "--ideal", "huge"], 3),
+    ({"ideals": {"huge": HUGE}}, ["minreduce", "--ideal", "huge"], 3),
 ], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
         "no_reduction_found", "gfp_homogeneous_not_m_primary",
         "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
-        "gfp_q_not_in_gfp_i"])
+        "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce"])
 def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     data = {key: {**INSTANCE_FILE[key], **extra.get(key, {})}
             for key in INSTANCE_FILE}
@@ -264,7 +268,23 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     rc = cli.main(argv[:1] + ["--file", str(path)] + argv[1:])
     assert rc == code
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert err.startswith("input error:" if code == 2 else "limit error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ideal", ["Isg", "mpoly"])
+def test_normalization_skips_ideals_outside_the_monomial_engine(tmp_path, capsys, ideal):
+    data = {**INSTANCE_FILE, "ideals": {**INSTANCE_FILE["ideals"], "mpoly": {
+        "ring": "P2", "form": "polynomials",
+        "data": [[{"exp": [2, 0], "coef": 1}], [{"exp": [0, 2], "coef": 1}]]}}}
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main(["check", "--file", str(path), "--theorem", "normalization",
+                   "--bind", f"I={ideal}"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["status"] == "skipped"
+    assert report["hypotheses"] == [["monomial_engine", False]]
 
 
 @pytest.mark.parametrize("payload, argv", [

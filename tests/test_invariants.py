@@ -26,6 +26,14 @@ def test_poly_context_validates_char():
             iv.poly_context(2, p)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_maximal_ideal_is_canonical(d):
+    m = iv.poly_context(d).maximal_ideal()
+    M = mo.minimalize(d, [tuple(int(i == j) for j in range(d)) for i in range(d)])
+    assert m == M and m.equals(M)
+    assert hash(m) == hash(M) and m.descriptor() == M.descriptor()
+
+
 def test_maximal_ideal_power_coeffs(ctx2):
     m = ctx2.maximal_ideal()
     for n in range(2, 6):

@@ -1,5 +1,6 @@
 """Unit tests for the monomial ideal engine, with brute-force oracles."""
 
+import random
 from itertools import product as iproduct
 from math import gcd
 
@@ -19,6 +20,9 @@ def brute_colength(I):
 def test_minimalize_drops_dominated_generators():
     I = mo.minimalize(2, [(2, 0), (3, 1), (0, 3), (1, 4), (2, 2)])
     assert I.gens == ((0, 3), (2, 0))
+    # a redundant generator does not size the staircase
+    I = mo.minimalize(2, [(1, 0), (0, 1), (10 ** 9, 0), (3, 10 ** 30)])
+    assert I.gens == ((0, 1), (1, 0)) and I.heights.shape == (2,)
 
 
 def test_colength_small_staircase():
@@ -176,3 +180,76 @@ def test_order_and_nu():
     I = mo.minimalize(2, [(3, 0), (1, 1), (0, 2)])
     assert mo.order(I) == 2
     assert mo.nu(I) == 3
+
+
+def in_ideal(gens, v):
+    return any(all(a <= b for a, b in zip(g, v)) for g in gens)
+
+
+def minimal_points(test, top, d):
+    """Minimal generators, by brute force, of the monomial ideal of the points
+    v of [0, top]^d with test(v); the box must hold all of them."""
+    pts = {v for v in iproduct(range(top + 1), repeat=d) if test(v)}
+    return tuple(sorted(
+        v for v in pts
+        if not any(v[i] and v[:i] + (v[i] - 1,) + v[i + 1:] in pts for i in range(d)))), pts
+
+
+@st.composite
+def ideal_pairs(draw):
+    d = draw(st.integers(1, 3))
+    top = 4 if d <= 2 else 3
+    def raw():
+        gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * d), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            gens += [tuple(draw(st.integers(1, top)) * (i == j) for j in range(d))
+                     for i in range(d)]
+        return gens
+    return d, top, raw(), raw()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideal_pairs())
+def test_engine_matches_divisibility_oracle(case):
+    d, top, A, B = case
+    I, J = mo.minimalize(d, A), mo.minimalize(d, B)
+    assert I.gens == minimal_points(lambda v: in_ideal(A, v), top, d)[0]
+    assert mo.sum_ideals(I, J).gens == minimal_points(
+        lambda v: in_ideal(A, v) or in_ideal(B, v), top, d)[0]
+    assert mo.intersect(I, J).gens == minimal_points(
+        lambda v: in_ideal(A, v) and in_ideal(B, v), top, d)[0]
+    assert mo.colon(J, I).gens == minimal_points(
+        lambda v: all(in_ideal(B, [x + y for x, y in zip(v, g)]) for g in A), top, d)[0]
+    assert mo.product(I, J).gens == minimal_points(
+        lambda v: any(in_ideal(A, [x - y for x, y in zip(v, g)]) for g in B), 2 * top, d)[0]
+    pure = [next((k for k in range(top + 1) if in_ideal(A, [k * (i == j) for j in range(d)])),
+                 None) for i in range(d)]
+    assert mo.is_m_primary(I) == (None not in pure)
+    if None in pure:
+        for f in (mo.pure_bounds, mo.colength, mo.standard_monomials,
+                  mo.integral_closure, lambda I: mo.closure_data(I, 2)):
+            with pytest.raises(mo.NotMPrimary):
+                f(I)
+        return
+    outside = sorted(v for v in iproduct(range(top + 1), repeat=d) if not in_ideal(A, v))
+    assert mo.pure_bounds(I) == tuple(pure)
+    assert mo.colength(I) == len(outside)
+    assert mo.standard_monomials(I) == outside
+    NP = mo.newton(I)
+    data = []
+    for n in (1, 2, 3):
+        gens, pts = minimal_points(
+            lambda v: all(sum(a * x for a, x in zip(normal, v)) >= n * offset
+                          for normal, offset in NP.halfspaces), n * top, d)
+        assert mo.integral_closure(I, n).gens == gens
+        data.append(((n * top + 1) ** d - len(pts), len(gens)))
+        if n == 1:
+            integral = sorted(v for v in pts if not in_ideal(A, v))
+    assert mo.closure_data(I, 3) == data
+    if not integral:
+        with pytest.raises(mo.Exhausted):
+            mo.sample_integral_element(I, 0)
+    else:  # a seeded pick among the integral monomials outside I, in order
+        for seed in range(3):
+            pick = integral[random.Random(seed).randrange(len(integral))]
+            assert mo.sample_integral_element(I, seed) == pick
