@@ -284,7 +284,11 @@ class GroebnerIdeal:
         return all(self.contains(g) for g in self._lift(other).gens)
 
     def equals(self, other):
-        return local_ideal_equal(self, other)
+        """Equality at the origin: A, B and A + B have one local colength."""
+        other = self._lift(other)
+        lam = local_colength(self)
+        return lam == local_colength(other) == local_colength(
+            GroebnerIdeal(self.ring, self.gens + other.gens))
 
     def member(self, v):
         return self.contains({v: 1})

@@ -13,9 +13,11 @@ nu(), order(), product(J), power(n), colon(J) = (I : J), contains_ideal(J)
 (J in I), equals(J), member(g) (the monomial g lies in I), integral_over(g),
 extend(extra) (I plus the monomials in extra) and descriptor() (generators as
 JSON-ready nested tuples).  A GF(p) ideal raises TypeError for nu, order and
-integral_over, and lifts a monomial argument of colon and contains_ideal into
-its own ring.  Each method calls its engine's module function by name when it
-runs, so the module functions remain the implementation.
+integral_over, and lifts a monomial argument of colon, contains_ideal and
+equals into its own ring; a monomial ideal raises TypeError when member or
+contains_ideal is given a polynomial or a GF(p) ideal.  Each method calls its
+engine's module function by name when it runs, so the module functions remain
+the implementation.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,14 @@
 """Exact arithmetic of monomial ideals in a localized polynomial ring.
 
-An ideal of k[x_1..x_d] is stored by its sorted minimal generators (so ideal
-equality is list equality) and its staircase heights: h(a), for a in N^(d-1),
-is the least e with x^(a,e) in the ideal, or INF.  h is an int64 array over
-the box a_i <= (largest exponent of x_i in a generator), past which it repeats
-its last slice.  Colengths, sums, products and colons are closed forms on h,
-and integral closures follow from Newton polyhedra built by exact integer
-facet enumeration.
+An ideal of k[x_1..x_d] is stored by its staircase heights alone: h(a), for
+a in N^(d-1), is the least e with x^(a,e) in the ideal, or INF.  h is a
+read-only int64 array over the box a_i <= (largest exponent of x_i in a
+minimal generator), past which it repeats its last slice, so it is canonical
+and defines equality and hashing.  Membership, containment, colengths,
+generator counts, sums, intersections, products and colons are closed forms
+on h; the minimal generators, the cells where h drops along every axis, are
+read off it only when asked for.  Integral closures follow from Newton
+polyhedra built by exact integer facet enumeration.
 """
 
 import random
@@ -34,33 +36,49 @@ class Exhausted(Exception):
     """The ideal is integrally closed; no integral monomial outside it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
-    """Minimal generators of a monomial ideal, canonically sorted."""
+    """A monomial ideal by its trimmed, read-only staircase heights."""
 
     dim: int
-    gens: tuple
+    heights: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(map(tuple, self.gens)))
-        for g in self.gens:
-            if len(g) != self.dim:
-                raise ValueError("generator dimension mismatch")
+    def __eq__(self, other):
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.heights, other.heights)
+
+    def __hash__(self):
+        return hash((self.dim, self.heights.shape, self.heights.tobytes()))
 
     @cached_property
-    def heights(self):
-        """Staircase heights, read-only; built here unless an operation set them."""
-        return minimalize(self.dim, self.gens).heights
+    def gens(self):
+        """Minimal generators, sorted: the finite cells where h drops."""
+        h = self.heights
+        drops = _drops(h)
+        return tuple((*a[:self.dim - 1], e) for a, e in
+                     zip(np.argwhere(drops).tolist(), h[drops].tolist()))
 
-    def contains_monomial(self, v):
-        return any(all(gi <= vi for gi, vi in zip(g, v)) for g in self.gens)
+    def member(self, v):
+        """x^v lies in the ideal: h at the cell of v, clipped to the box, is at most v_d."""
+        if isinstance(v, dict):
+            raise TypeError("a monomial ideal tests exponent vectors, not polynomials; "
+                            "give both ideals in one form")
+        h = self.heights
+        cell = tuple(min(a, n - 1) for a, n in zip(v[:-1], h.shape)) or 0  # d = 1: one cell
+        return int(h[cell]) <= v[-1]
 
     def contains_ideal(self, other):
-        return all(self.contains_monomial(g) for g in other.gens)
+        """other lies in the ideal: h is at most other's heights everywhere."""
+        if not isinstance(other, MonomialIdeal):
+            raise TypeError(f"a monomial ideal cannot compare with a {type(other).__name__}; "
+                            "give both ideals in one form")
+        mine, theirs = _common(self, other)
+        return bool((mine <= theirs).all())
 
     @property
     def is_unit(self):
-        return self.gens == ((0,) * self.dim,)
+        return not self.heights.any()
 
     # The ideal protocol (see invariants): methods call module functions by name.
 
@@ -83,10 +101,7 @@ class MonomialIdeal:
         return colon(self, other)
 
     def equals(self, other):
-        return self.gens == other.gens
-
-    def member(self, v):
-        return self.contains_monomial(v)
+        return self == other
 
     def integral_over(self, v):
         """v lies in the integral closure of the ideal."""
@@ -112,26 +127,36 @@ def _fit(h, shape):
     """h over a box at least as large, repeating its last slices."""
     if h.shape == shape:
         return h
-    return np.pad(h, [(0, s - n) for n, s in zip(h.shape, shape)], mode="edge")
+    return h[np.ix_(*(np.minimum(np.arange(s), n - 1) for n, s in zip(h.shape, shape)))]
+
+
+def _common(I, J):
+    """The heights of I and J over the smallest box holding both."""
+    if I.dim != J.dim:
+        raise ValueError("dimension mismatch")
+    shape = _box(np.maximum(I.heights.shape, J.heights.shape))
+    return _fit(I.heights, shape), _fit(J.heights, shape)
+
+
+def _drops(h):
+    """The finite cells of h where it drops along every axis."""
+    drops = h < INF
+    for ax in range(h.ndim):
+        cut = (slice(None),) * ax
+        drops[cut + (slice(1, None),)] &= h[cut + (slice(1, None),)] < h[cut + (slice(-1),)]
+    return drops
 
 
 def _from_heights(dim, h):
-    """The ideal with staircase heights h, a fresh array that it keeps.  Its
-    generators are the finite cells where h drops along every axis."""
+    """The ideal with staircase heights h, a fresh array that it keeps,
+    trimmed to the box of its drop cells."""
     h[h > INF >> 1] = INF  # INF plus or minus a height is still INF
-    drops = h < INF
-    for ax in range(dim - 1):
-        cut = (slice(None),) * ax
-        drops[cut + (slice(1, None),)] &= h[cut + (slice(1, None),)] < h[cut + (slice(-1),)]
+    drops = _drops(h)
     if h.max(where=drops, initial=0) >= HEIGHT_CAP:
         raise MemoryError("staircase heights are over the cap")
-    cells = np.argwhere(drops)
-    I = MonomialIdeal(dim, [(*a[:dim - 1], e) for a, e in
-                            zip(cells.tolist(), h[drops].tolist())])
-    h = h[tuple(slice(b) for b in cells.max(axis=0) + 1)]
+    h = h[tuple(slice(b) for b in np.argwhere(drops).max(axis=0) + 1)]
     h.flags.writeable = False
-    I.__dict__["heights"] = h
-    return I
+    return MonomialIdeal(dim, h)
 
 
 def minimalize(dim, raw):
@@ -153,7 +178,7 @@ def minimalize(dim, raw):
 
 
 def unit_ideal(dim):
-    return MonomialIdeal(dim, ((0,) * dim,))
+    return _from_heights(dim, np.zeros(_box((1,) * (dim - 1)), dtype=np.int64))
 
 
 def is_m_primary(I):
@@ -200,8 +225,8 @@ def colength(I):
 
 
 def nu(I):
-    """Minimal number of generators."""
-    return len(I.gens)
+    """Minimal number of generators: the cells where the staircase drops."""
+    return int(np.count_nonzero(_drops(I.heights)))
 
 
 def order(I):
@@ -210,9 +235,8 @@ def order(I):
 
 
 def sum_ideals(I, J):
-    if I.dim != J.dim:
-        raise ValueError("dimension mismatch")
-    return minimalize(I.dim, I.gens + J.gens)
+    """Sum of monomial ideals: the elementwise min of the heights."""
+    return _from_heights(I.dim, np.minimum(*_common(I, J)))
 
 
 def product(I, J):
@@ -253,8 +277,7 @@ def colon(J, I):
 
 def intersect(I, J):
     """Intersection of monomial ideals: the elementwise max of the heights."""
-    shape = _box(np.maximum(I.heights.shape, J.heights.shape))
-    return _from_heights(I.dim, np.maximum(_fit(I.heights, shape), _fit(J.heights, shape)))
+    return _from_heights(I.dim, np.maximum(*_common(I, J)))
 
 
 @dataclass(frozen=True)
@@ -353,7 +376,7 @@ def closure_data(I, nmax, NP=None):
     if NP is None:
         NP = newton(I)
     closures = (_from_heights(I.dim, _closure_heights(I, NP, n)) for n in range(1, nmax + 1))
-    return [(int(C.heights.sum()), len(C.gens)) for C in closures]
+    return [(int(C.heights.sum()), nu(C)) for C in closures]
 
 
 def sample_integral_element(J, rng_seed):

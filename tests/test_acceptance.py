@@ -31,6 +31,9 @@ _SWEEP_CACHE = {}
 # of the shared sweep: any change to one of its integers or reports shows here
 D2_RECORDS_SHA256 = "c36ffef38a7a62b92b5fac5421a30388b24af21ef12e120e25bc14a83c2e51b2"
 D3_RECORDS_SHA256 = "ef981c5c810b9708d24fac67ed6a383c739bca8c37f5bd7c45fd60f55b9a4b38"
+# the same over the records of `sweep --family e0Ih --count 40`, whose
+# reductions Q are GF(p) polynomial ideals and whose I are monomial
+E0IH_RECORDS_SHA256 = "31d7e98cc4eccfc0e20d61da94d2f427b162503c51b8d61b0bb8f5e758664fd7"
 
 
 def _sweep_200():
@@ -152,9 +155,10 @@ def test_acceptance_5_theorem_sweep_200():
         for rep in rec["reports"]:
             if rep["theorem_id"] == "prop_f0" and rep["status"] == "verified":
                 assert rep["witness"]["intermediate_f0_le_e1_ok"]
-    for half, digest in ((records[:100], D2_RECORDS_SHA256),
-                         (records[100:], D3_RECORDS_SHA256)):
-        text = json.dumps(half, sort_keys=True)
+    for part, digest in ((records[:100], D2_RECORDS_SHA256),
+                         (records[100:], D3_RECORDS_SHA256),
+                         (ins.sweep("e0Ih", count=40)["instances"], E0IH_RECORDS_SHA256)):
+        text = json.dumps(part, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
     elapsed = time.time() - t0
     assert elapsed < 300

@@ -122,8 +122,9 @@ def test_sweep_count_zero(capsys):
 
 
 def test_sweep_worker_pool_matches_serial():
-    serial = instances.sweep("semigroup_small", count=6, seed=13, jobs=1)
-    assert instances.sweep("semigroup_small", count=6, seed=13, jobs=2) == serial
+    for family, count, seed in (("semigroup_small", 6, 13), ("random_monomial_d2", 4, 11)):
+        serial = instances.sweep(family, count=count, seed=seed, jobs=1)
+        assert instances.sweep(family, count=count, seed=seed, jobs=2) == serial
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--jobs", "0")])
@@ -190,7 +191,6 @@ def test_minreduce_monomial_own_reduction(instance_path, capsys):
 
 
 def test_minreduce_output_independent_of_redundant_generators(tmp_path, capsys):
-    # 65 given vectors take the numpy minimalization pass, 2 the plain one
     outputs = []
     for data in ([[2, 0], [0, 2]], [[2, 0], [0, 2]] + [[2, k] for k in range(1, 64)]):
         path = tmp_path / f"param{len(data)}.json"
@@ -220,6 +220,8 @@ def test_fiber_fit_needing_a_longer_horizon(tmp_path, capsys):
 HUGE = {"ring": "P2", "form": "monomial", "data": [[1000000000, 0], [0, 1]]}
 Q_X3_Y = {"ring": "P2", "form": "polynomials",
           "data": [[{"exp": [3, 0], "coef": 1}], [{"exp": [0, 1], "coef": 1}]]}
+PARAM_POLY = {"ring": "P2", "form": "polynomials",
+              "data": [[{"exp": [2, 0], "coef": 1}], [{"exp": [0, 2], "coef": 1}]]}
 
 
 @pytest.mark.parametrize("extra, argv, code", [
@@ -256,10 +258,16 @@ Q_X3_Y = {"ring": "P2", "form": "polynomials",
     # x^1000000000 gives a staircase box of 10^9 + 1 cells, over the cap
     ({"ideals": {"huge": HUGE}}, ["coeffs", "--ideal", "huge"], 3),
     ({"ideals": {"huge": HUGE}}, ["minreduce", "--ideal", "huge"], 3),
+    # a polynomial ideal and a monomial ideal in one check
+    ({"ideals": {"Pp": PARAM_POLY}},
+     ["check", "--theorem", "thm_2_2", "--bind", "J=Pp,I=msq"], 2),
+    ({"ideals": {"Pp": PARAM_POLY}},
+     ["check", "--theorem", "thm_2_2", "--bind", "J=msq,I=Pp"], 2),
 ], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
         "no_reduction_found", "gfp_homogeneous_not_m_primary",
         "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
-        "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce"])
+        "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce",
+        "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i"])
 def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     data = {key: {**INSTANCE_FILE[key], **extra.get(key, {})}
             for key in INSTANCE_FILE}

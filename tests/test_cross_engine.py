@@ -129,6 +129,10 @@ def test_ideal_protocol_agrees_with_gfp_lift():
     assert not Jg.member((2, 1)) and not J.member((2, 1))
     assert Ig.power(2).colength() == I.power(2).colength()
     assert Jg.product(Ig).equals(Ig.product(Ig)) == J.product(I).equals(I.product(I))
+    assert Ig.equals(I) and not Jg.equals(I)
+    for call in (lambda: I.contains_ideal(Jg), lambda: I.member(Jg.gens[0])):
+        with pytest.raises(TypeError, match="one form"):
+            call()
     assert I.descriptor() == I.gens
     assert Ig.descriptor() == tuple(((g, 1),) for g in I.gens)
     for method in ("nu", "order"):

@@ -136,6 +136,18 @@ def test_reduction_number_needs_q_in_i_at_the_origin():
     assert gb.reduction_number(gb.GroebnerIdeal(ring, [{(1, 0): 1}, {(0, 1): 1}]), I) == 0
 
 
+def test_equals_is_local_equality():
+    ring = _ring(2)
+    # (x, y^2) and (x^2, y) both have local colength 2, yet differ
+    assert not gb.GroebnerIdeal(ring, [{(1, 0): 1}, {(0, 2): 1}]).equals(
+        gb.GroebnerIdeal(ring, [{(2, 0): 1}, {(0, 1): 1}]))
+    # x + x^2 = x(1 + x), and 1 + x is a unit at the origin
+    m = gb.GroebnerIdeal(ring, [{(1, 0): 1}, {(0, 1): 1}])
+    assert gb.GroebnerIdeal(ring, [{(1, 0): 1, (2, 0): 1}, {(0, 1): 1}]).equals(m)
+    assert m.equals(mo.minimalize(2, [(1, 0), (0, 1)]))
+    assert not m.equals(mo.minimalize(2, [(2, 0), (0, 1)]))
+
+
 def test_random_minimal_reduction_deterministic():
     ring = _ring(2)
     gens = [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}]

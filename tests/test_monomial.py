@@ -14,7 +14,7 @@ from idealkit import monomial as mo
 def brute_colength(I):
     bounds = mo.pure_bounds(I)
     return sum(1 for v in iproduct(*(range(b) for b in bounds))
-               if not I.contains_monomial(v))
+               if not I.member(v))
 
 
 def test_minimalize_drops_dominated_generators():
@@ -165,7 +165,7 @@ def test_sample_integral_element_is_integral_not_member():
     J = mo.minimalize(2, [(4, 0), (0, 4)])
     h = mo.sample_integral_element(J, rng_seed=11)
     assert mo.np_contains(mo.newton(J), h)
-    assert not J.contains_monomial(h)
+    assert not J.member(h)
     # deterministic in the seed
     assert h == mo.sample_integral_element(J, rng_seed=11)
 
@@ -208,20 +208,41 @@ def ideal_pairs(draw):
     return d, top, raw(), raw()
 
 
+def assert_reads_match(results, d):
+    """Each result (R, test, box) is canonical, and its generators, membership,
+    generator count, unit test, containments and equalities agree with test,
+    the brute-force membership of its monomials; [0, box]^d holds R's
+    generators."""
+    brute = []
+    for R, test, box in results:
+        gens, pts = minimal_points(test, box, d)
+        assert R.gens == gens
+        again = mo.minimalize(d, R.gens)
+        assert R == again and hash(R) == hash(again)
+        assert all(R.member(v) == (v in pts) for v in iproduct(range(box + 1), repeat=d))
+        assert R.nu() == len(gens) and R.is_unit == test((0,) * d)
+        brute.append(gens)
+    for (R, test, _), mine in zip(results, brute):
+        for (S, _, _), gens in zip(results, brute):
+            assert R.contains_ideal(S) == all(test(g) for g in gens)
+            assert (R == S) == (mine == gens)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ideal_pairs())
 def test_engine_matches_divisibility_oracle(case):
     d, top, A, B = case
     I, J = mo.minimalize(d, A), mo.minimalize(d, B)
-    assert I.gens == minimal_points(lambda v: in_ideal(A, v), top, d)[0]
-    assert mo.sum_ideals(I, J).gens == minimal_points(
-        lambda v: in_ideal(A, v) or in_ideal(B, v), top, d)[0]
-    assert mo.intersect(I, J).gens == minimal_points(
-        lambda v: in_ideal(A, v) and in_ideal(B, v), top, d)[0]
-    assert mo.colon(J, I).gens == minimal_points(
-        lambda v: all(in_ideal(B, [x + y for x, y in zip(v, g)]) for g in A), top, d)[0]
-    assert mo.product(I, J).gens == minimal_points(
-        lambda v: any(in_ideal(A, [x - y for x, y in zip(v, g)]) for g in B), 2 * top, d)[0]
+    results = [
+        (I, lambda v: in_ideal(A, v), top),
+        (J, lambda v: in_ideal(B, v), top),
+        (mo.sum_ideals(I, J), lambda v: in_ideal(A, v) or in_ideal(B, v), top),
+        (mo.intersect(I, J), lambda v: in_ideal(A, v) and in_ideal(B, v), top),
+        (mo.colon(J, I),
+         lambda v: all(in_ideal(B, [x + y for x, y in zip(v, g)]) for g in A), top),
+        (mo.product(I, J),
+         lambda v: any(in_ideal(A, [x - y for x, y in zip(v, g)]) for g in B), 2 * top),
+    ]
     pure = [next((k for k in range(top + 1) if in_ideal(A, [k * (i == j) for j in range(d)])),
                  None) for i in range(d)]
     assert mo.is_m_primary(I) == (None not in pure)
@@ -230,6 +251,7 @@ def test_engine_matches_divisibility_oracle(case):
                   mo.integral_closure, lambda I: mo.closure_data(I, 2)):
             with pytest.raises(mo.NotMPrimary):
                 f(I)
+        assert_reads_match(results, d)
         return
     outside = sorted(v for v in iproduct(range(top + 1), repeat=d) if not in_ideal(A, v))
     assert mo.pure_bounds(I) == tuple(pure)
@@ -238,14 +260,16 @@ def test_engine_matches_divisibility_oracle(case):
     NP = mo.newton(I)
     data = []
     for n in (1, 2, 3):
-        gens, pts = minimal_points(
-            lambda v: all(sum(a * x for a, x in zip(normal, v)) >= n * offset
-                          for normal, offset in NP.halfspaces), n * top, d)
-        assert mo.integral_closure(I, n).gens == gens
+        def test(v, n=n):
+            return all(sum(a * x for a, x in zip(normal, v)) >= n * offset
+                       for normal, offset in NP.halfspaces)
+        gens, pts = minimal_points(test, n * top, d)
+        results.append((mo.integral_closure(I, n), test, n * top))
         data.append(((n * top + 1) ** d - len(pts), len(gens)))
         if n == 1:
             integral = sorted(v for v in pts if not in_ideal(A, v))
     assert mo.closure_data(I, 3) == data
+    assert_reads_match(results, d)
     if not integral:
         with pytest.raises(mo.Exhausted):
             mo.sample_integral_element(I, 0)
