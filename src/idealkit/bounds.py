@@ -103,14 +103,19 @@ def check_cor_e1para(ctx, Q, I, red=None):
     """e1(I) <= red_Q(I) * lam(R/(Q:I)) for a minimal reduction Q.
 
     In Gorenstein contexts the colon colength equals e0(I) - lam(R/I), giving
-    the second form of the bound; the identity itself is asserted too.
+    the second form of the bound; the identity itself is asserted too.  Where
+    invariants.colon_colength takes linkage (a poly context, a d-generated Q
+    termwise inside a monomial I), the colon colength is lam(R/Q) - lam(R/I),
+    so the witness gorenstein_identity_ok tests lam(R/Q) = e0(I).  For a
+    parameter ideal in a Cohen-Macaulay ring lam(R/Q) = e(Q), so that is Q
+    being a reduction of I by Rees's theorem; it no longer tests the colon.
     """
     d = ctx.dim
     hyps = [("Q_has_d_generators", len(Q.gens) == d)]
     if red is None:
         red = invariants.reduction_number(ctx, Q, I)
     hil = invariants.hilbert_coeffs(ctx, I)
-    lam_colon = Q.colon(I).colength()
+    lam_colon = invariants.colon_colength(ctx, Q, I)
     lam_i = I.colength()
     gor = _is_gorenstein(ctx)
     identity_ok = True
@@ -173,15 +178,24 @@ def check_prop_f0(ctx, J, extra):
 
 
 def check_cor_sally(ctx, Q, I, red=None):
-    """s0(Q,I) <= -e0(I) + lam(R/I) + lam(R/(Q:I)) * [C(nu(I)-d+s, s) - 1]."""
+    """s0(Q,I) <= -e0(I) + lam(R/I) + lam(R/(Q:I)) * [C(nu(I)-d+s, s) - 1].
+
+    Q is a reduction of I exactly when red_Q(I) exists; one not found within
+    the cap leaves that hypothesis unmet.
+    """
     d = ctx.dim
     if red is None:
-        red = invariants.reduction_number(ctx, Q, I)
+        try:
+            red = invariants.reduction_number(ctx, Q, I)
+        except groebner.CapExceeded:
+            pass
+    hyps = [("Q_is_reduction", red is not None)]
+    if red is None:
+        return _report("cor_sally", hyps, 0, 0, {"reason": "no reduction relation within the cap"})
     sal = invariants.sally_multiplicity(ctx, Q, I)
-    lam_colon = Q.colon(I).colength()
+    lam_colon = invariants.colon_colength(ctx, Q, I)
     nu_i = I.nu()
     rhs = -sal.e0_i + sal.colength_i + lam_colon * (binom(nu_i - d + red, red) - 1)
-    hyps = [("Q_is_reduction", True)]
     witness = {"s0": sal.s0, "e1_I": sal.e1_i, "e1_Q": sal.e1_q,
                "e0_I": sal.e0_i, "colength_I": sal.colength_i,
                "nu_I": nu_i, "s": red, "colon_colength": lam_colon,

@@ -201,6 +201,39 @@ def normal_coeffs(ctx, I):
 
 # ---------------------------------------------------------------- reductions
 
+def _polynomials(ctx, Q):
+    """Q's generators as term dicts over GF(p), with p; a monomial is a monic term."""
+    if isinstance(Q, groebner.GroebnerIdeal):
+        return Q.gens, Q.ring.char_p
+    return [{u: 1} for u in Q.gens], ctx.char_p
+
+
+def _contains_termwise(I, qs):
+    """The polynomials qs lie in the monomial ideal I: a polynomial lies in a
+    monomial ideal iff each of its terms does."""
+    return all(I.member(u) for q in qs for u in q)
+
+
+def colon_colength(ctx, Q, I):
+    """lam(R/(Q:I)), by linkage when Q is a parameter ideal inside I.
+
+    In a regular local ring a d-generated m-primary Q is a complete
+    intersection, so R/Q is Artinian Gorenstein and, by Matlis duality,
+    (Q:I)/Q = Hom(R/I, R/Q) has length lam(R/I) for every Q in I.  Hence
+    lam(R/(Q:I)) = lam(R/Q) - lam(R/I) (Peskine-Szpiro 1974; Bruns-Herzog,
+    Cohen-Macaulay Rings, ch. 3): one local colength of Q, no colon ideal.
+    That needs a poly context, len(Q.gens) == d and a monomial I holding every
+    term of Q's generators; anything else takes the engine's colon.  A
+    semigroup ring need not be Gorenstein (<4,7,9> is not symmetric), so its
+    closed-form colon stays.
+    """
+    if (ctx.kind == "poly" and len(Q.gens) == ctx.dim
+            and isinstance(I, monomial.MonomialIdeal)
+            and _contains_termwise(I, _polynomials(ctx, Q)[0])):
+        return Q.colength() - I.colength()
+    return Q.colon(I).colength()
+
+
 def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
     """Least s with I^(s+1) = Q * I^s (at the origin for GF(p) ideals).
 
@@ -224,12 +257,8 @@ def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
                 return s
             QIs, Inext = Q.product(Inext), Inext.product(I)
         raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
-    if isinstance(Q, groebner.GroebnerIdeal):
-        qs, p = Q.gens, Q.ring.char_p
-    else:
-        qs, p = [{u: 1} for u in Q.gens], ctx.char_p
-    # a polynomial lies in a monomial ideal iff each of its terms does
-    if not all(I.member(u) for q in qs for u in q):
+    qs, p = _polynomials(ctx, Q)
+    if not _contains_termwise(I, qs):
         raise ValueError("Q is not contained in I")
     Is, Inext = monomial.unit_ideal(I.dim), I  # I^s and I^(s+1), from s = 0
     for s in range(cap + 1):
@@ -303,7 +332,12 @@ def socle_extension(ctx, Q, s):
 
 def nu_power_criterion(ctx, I):
     """Least n with nu(I^n) < C(n+d, d); then n-1 bounds some minimal
-    reduction number of I."""
+    reduction number of I.
+
+    By Eakin-Sathaye (1976), over an infinite residue field nu(I^n) <
+    C(n+d, d) gives a d-generated reduction J with I^n = J*I^(n-1).  That
+    theorem is what the checkers' bound_certified flag rests on.
+    """
     d = ctx.dim
     cur = I
     for n in range(1, REDUCTION_CAP + 1):

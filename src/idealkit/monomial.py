@@ -12,6 +12,7 @@ polyhedra built by exact integer facet enumeration.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -50,6 +51,11 @@ class MonomialIdeal:
 
     def __hash__(self):
         return hash((self.dim, self.heights.shape, self.heights.tobytes()))
+
+    def __reduce__(self):
+        """Copies (pickle, deepcopy) rebuild through _from_heights, so their
+        heights are read-only too; the array passed is a writeable copy."""
+        return _from_heights, (self.dim, self.heights.copy())
 
     @cached_property
     def gens(self):
@@ -165,16 +171,29 @@ def minimalize(dim, raw):
         raise ValueError("empty generator list")
     if any(len(v) != dim for v in raw):
         raise ValueError("generator dimension mismatch")
-    pure = [min((v[i] for v in raw if sum(v) == v[i]), default=INF) for i in range(dim)]
-    # a multiple of a pure power x_i^p lies in (x_i^p): clip it there to keep the box small
-    cols = [[min(x, p) for x in c] for c, p in zip(zip(*raw), pure)]
-    if max(cols[-1]) >= HEIGHT_CAP:
-        raise MemoryError("staircase heights are over the cap")
-    h = np.full(_box(max(c) + 1 for c in cols[:-1]), INF, dtype=np.int64)
-    np.minimum.at(h, tuple(cols[:-1]) or ([0] * len(raw),), cols[-1])  # d = 1: one cell
+    *cols, tops = zip(*raw)
+    # The staircase is built on a grid whose axis i holds only the distinct
+    # exponents u_i of x_i in raw, behind one INF slice for the exponents below
+    # them all, so a redundant vector with a huge exponent costs one slice.
+    # Heights are clamped to the cap, which refuses them only at a drop cell.
+    axes = [sorted(set(c)) for c in cols]
+    h = np.full(_box(len(u) + 1 for u in axes), INF, dtype=np.int64)
+    at = tuple([bisect_right(u, x) for x in c] for u, c in zip(axes, cols))
+    np.minimum.at(h, at or ([0] * len(raw),),  # d = 1: one cell
+                  [min(e, HEIGHT_CAP) for e in tops])
     for ax in range(dim - 1):
         np.minimum.accumulate(h, axis=ax, out=h)
-    return _from_heights(dim, h)
+    drops = _drops(h)
+    if h.max(where=drops, initial=0) >= HEIGHT_CAP:
+        raise MemoryError("staircase heights are over the cap")
+    # Only the box of the drop cells goes back to exponents, where a reads the
+    # slice of the largest u_i[k] <= a: that is the trimmed staircase.
+    last = np.argwhere(drops).max(axis=0)
+    shape = _box(u[k - 1] + 1 for u, k in zip(axes, last))
+    for ax, (u, k, n) in enumerate(zip(axes, last, shape)):
+        h = h.take(np.searchsorted(u[:k], np.arange(n), side="right"), axis=ax)
+    h.flags.writeable = False
+    return MonomialIdeal(dim, h)
 
 
 def unit_ideal(dim):

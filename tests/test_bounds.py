@@ -82,6 +82,15 @@ def test_cor_sally(ctx2, msq):
     rep = bd.check_cor_sally(ctx2, Q, msq)
     assert rep.status == "verified"
     assert rep.lhs == 0
+    assert rep.hypotheses == (("Q_is_reduction", True),)
+
+
+def test_cor_sally_skips_a_non_reduction(ctx2, msq):
+    # (x^2, xy) lies in m^2 but is not m-primary, so no reduction number exists
+    Q = mo.minimalize(2, [(2, 0), (1, 1)])
+    rep = bd.check_cor_sally(ctx2, Q, msq)
+    assert rep.status == "skipped"
+    assert rep.hypotheses == (("Q_is_reduction", False),)
 
 
 def test_thm_3_1_msq_equality(ctx2, msq):

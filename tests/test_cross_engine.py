@@ -7,7 +7,8 @@ import pytest
 from idealkit import groebner as gb
 from idealkit import invariants as iv
 from idealkit import monomial as mo
-from idealkit.instances import SECOND_PRIME
+from idealkit import semigroup as sg
+from idealkit.instances import SECOND_PRIME, family_e0Ih
 
 
 def _random_ideal(rng, d, max_exp=4, interior=None):
@@ -22,6 +23,72 @@ def _random_ideal(rng, d, max_exp=4, interior=None):
         if any(g):
             gens.append(g)
     return mo.minimalize(d, gens)
+
+
+def _e0ih_reduction(a, b, c, h, p):
+    """Q = (x^a - z^c, y^b - z^c, the monomial h) over GF(p): the e0Ih battery's reduction."""
+    return gb.GroebnerIdeal(gb.PolyRing(3, p), [{(a, 0, 0): 1, (0, 0, c): p - 1},
+                                                {(0, b, 0): 1, (0, 0, c): p - 1},
+                                                {h: 1}])
+
+
+def _colon_by_linkage(monkeypatch, ctx, Q, I):
+    """iv.colon_colength(ctx, Q, I), failing if it builds a GF(p) colon."""
+    def no_colon(*args):
+        raise AssertionError("linkage should need no colon ideal")
+    with monkeypatch.context() as patch:
+        patch.setattr(gb, "colon_ideal", no_colon)
+        return iv.colon_colength(ctx, Q, I)
+
+
+def test_colon_colength_by_linkage_matches_e0ih_colons(monkeypatch):
+    """lam(R/Q) - lam(R/I) against the Buchberger colon on e0Ih points.
+
+    A seeded sample of the grid, the grid point (6,6,7) with h = x^2y^2z^2,
+    and (5,5,5) with that h, which the family's hypothesis leaves out but
+    linkage does not need.
+    """
+    grid = {tuple(inst["params"]) for inst in family_e0Ih()}
+    points = random.Random(11).sample(sorted(grid), 10)
+    points += [(6, 6, 7, 2, 2, 2), (5, 5, 5, 2, 2, 2)]
+    assert (6, 6, 7, 2, 2, 2) in grid and (5, 5, 5, 2, 2, 2) not in grid
+    ctx = iv.poly_context(3)
+    for a, b, c, *h in points:
+        I = mo.minimalize(3, [(a, 0, 0), (0, b, 0), (0, 0, c), tuple(h)])
+        Q = _e0ih_reduction(a, b, c, tuple(h), ctx.char_p)
+        lam = _colon_by_linkage(monkeypatch, ctx, Q, I)
+        assert lam == gb.colon_ideal(Q, iv.to_groebner(ctx, I)).colength(), (a, b, c, h)
+
+
+def test_colon_colength_by_linkage_on_sampled_gfp_q(monkeypatch):
+    for idx in range(10):
+        rng = random.Random(5300 + idx)
+        I = _random_ideal(rng, 2, interior=2)
+        for p in (gb.DEFAULT_PRIME, SECOND_PRIME):
+            ctx = iv.poly_context(2, p)
+            Ig = iv.to_groebner(ctx, I)
+            Q = gb.random_minimal_reduction(list(Ig.gens), 2, Ig.ring, rng_seed=idx)
+            lam = _colon_by_linkage(monkeypatch, ctx, Q, I)
+            assert lam == gb.colon_ideal(Q, Ig).colength(), (I.gens, p)
+
+
+def test_colon_colength_falls_back_to_the_colon():
+    ctx = iv.poly_context(2)
+    ring = gb.PolyRing(2, ctx.char_p)
+    m = ctx.maximal_ideal()
+    # Q = m^2 has d + 1 generators and R/Q is not Gorenstein: linkage would say 2
+    Q = gb.GroebnerIdeal(ring, [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}])
+    assert iv.colon_colength(ctx, Q, m) == 1
+    # Q = (x^2, y^3) is not in I = (x^3, xy, y^2): linkage would say 6 - 4 = 2
+    Q = gb.GroebnerIdeal(ring, [{(2, 0): 1}, {(0, 3): 1}])
+    I = mo.minimalize(2, [(3, 0), (1, 1), (0, 2)])
+    assert iv.colon_colength(ctx, Q, I) == 3
+    assert mo.colon(mo.minimalize(2, [(2, 0), (0, 3)]), I).colength() == 3
+    # <4,7,9> is not symmetric, so not Gorenstein: its closed-form colon stays
+    H = sg.semigroup([4, 7, 9])
+    ctx = iv.semigroup_context(H)
+    I, Q = sg.ideal(H, [12, 14, 17]), sg.ideal(H, [12])
+    assert iv.colon_colength(ctx, Q, I) == 3 != Q.colength() - I.colength()
 
 
 def test_colength_agreement_sampled():
@@ -96,10 +163,7 @@ def test_fiber_cone_rank_matches_buchberger_on_gfp_q():
         I = mo.minimalize(3, [(a, 0, 0), (0, b, 0), (0, 0, c), h])
         for p in primes:
             ctx = iv.poly_context(3, p)
-            ring = gb.PolyRing(3, p)
-            Q = gb.GroebnerIdeal(ring, [{(a, 0, 0): 1, (0, 0, c): p - 1},
-                                        {(0, b, 0): 1, (0, 0, c): p - 1},
-                                        {h: 1}])
+            Q = _e0ih_reduction(a, b, c, h, p)
             assert iv.reduction_number(ctx, Q, I) == r, (a, b, c, h, p)
             assert gb.reduction_number(Q, iv.to_groebner(ctx, I)) == r
 

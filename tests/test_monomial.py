@@ -1,5 +1,7 @@
 """Unit tests for the monomial ideal engine, with brute-force oracles."""
 
+import copy
+import pickle
 import random
 from itertools import product as iproduct
 from math import gcd
@@ -23,6 +25,19 @@ def test_minimalize_drops_dominated_generators():
     # a redundant generator does not size the staircase
     I = mo.minimalize(2, [(1, 0), (0, 1), (10 ** 9, 0), (3, 10 ** 30)])
     assert I.gens == ((0, 1), (1, 0)) and I.heights.shape == (2,)
+    # nor does one that no pure power bounds
+    for raw in ([(1, 1), (10 ** 9, 1)], [(1, 1), (2, 10 ** 10)]):
+        I = mo.minimalize(2, raw)
+        assert I.gens == ((1, 1),) and I.heights.shape == (2,)
+
+
+def test_copies_keep_read_only_heights():
+    I = mo.minimalize(3, [(2, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 3)])
+    copies = [pickle.loads(pickle.dumps(I, protocol=k))
+              for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for J in copies + [copy.deepcopy(I), copy.copy(I)]:
+        assert not J.heights.flags.writeable
+        assert J == I and hash(J) == hash(I) and J.gens == I.gens
 
 
 def test_colength_small_staircase():
