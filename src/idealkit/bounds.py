@@ -25,10 +25,6 @@ class BoundReport:
     witness: dict = field(compare=False)
     status: str  # verified | violated | unresolved | skipped
 
-    @property
-    def hypotheses_ok(self):
-        return all(ok for _, ok in self.hypotheses)
-
     def as_dict(self):
         return {
             "theorem_id": self.theorem_id,
@@ -99,7 +95,7 @@ def check_thm_2_3(ctx, J, h):
     return _report("thm_2_3", hyps, e1_i - e1_j, red * lam * f0, witness)
 
 
-def check_cor_e1para(ctx, Q, I, red=None):
+def check_cor_e1para(ctx, Q, I):
     """e1(I) <= red_Q(I) * lam(R/(Q:I)) for a minimal reduction Q.
 
     In Gorenstein contexts the colon colength equals e0(I) - lam(R/I), giving
@@ -112,8 +108,7 @@ def check_cor_e1para(ctx, Q, I, red=None):
     """
     d = ctx.dim
     hyps = [("Q_has_d_generators", len(Q.gens) == d)]
-    if red is None:
-        red = invariants.reduction_number(ctx, Q, I)
+    red = invariants.reduction_number(ctx, Q, I)
     hil = invariants.hilbert_coeffs(ctx, I)
     lam_colon = invariants.colon_colength(ctx, Q, I)
     lam_i = I.colength()
@@ -177,18 +172,17 @@ def check_prop_f0(ctx, J, extra):
     return _report("prop_f0", hyps, f0_i, rhs, witness, extra_ok=intermediate)
 
 
-def check_cor_sally(ctx, Q, I, red=None):
+def check_cor_sally(ctx, Q, I):
     """s0(Q,I) <= -e0(I) + lam(R/I) + lam(R/(Q:I)) * [C(nu(I)-d+s, s) - 1].
 
     Q is a reduction of I exactly when red_Q(I) exists; one not found within
     the cap leaves that hypothesis unmet.
     """
     d = ctx.dim
-    if red is None:
-        try:
-            red = invariants.reduction_number(ctx, Q, I)
-        except groebner.CapExceeded:
-            pass
+    try:
+        red = invariants.reduction_number(ctx, Q, I)
+    except groebner.CapExceeded:
+        red = None
     hyps = [("Q_is_reduction", red is not None)]
     if red is None:
         return _report("cor_sally", hyps, 0, 0, {"reason": "no reduction relation within the cap"})
@@ -308,11 +302,10 @@ def check_cor_after_3_3(ctx):
                    witness, sampled=sampled)
 
 
-def check_rossi(ctx, Q, I, red=None, sampled=False):
+def check_rossi(ctx, Q, I, sampled=False):
     """red_Q(I) <= e1(I) - e0(I) + lam(R/I) + 1 in dimension <= 2."""
     hyps = [("dim_le_2", ctx.dim <= 2)]
-    if red is None:
-        red = invariants.reduction_number(ctx, Q, I)
+    red = invariants.reduction_number(ctx, Q, I)
     hil = invariants.hilbert_coeffs(ctx, I)
     lam = I.colength()
     rhs = hil.e[1] - hil.e[0] + lam + 1

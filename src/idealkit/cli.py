@@ -37,13 +37,22 @@ def _object(value, what):
     return value
 
 
+def _integer(v, what):
+    """v, a JSON integer; a float, bool or string is refused, never converted."""
+    if type(v) is not int:
+        raise InputError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def _build_ring(spec):
     kind = _object(spec, "a ring spec").get("kind")
     if kind == "poly":
-        return invariants.poly_context(int(spec["vars"]),
-                                       int(spec.get("char", groebner.DEFAULT_PRIME)))
+        return invariants.poly_context(
+            _integer(spec["vars"], "'vars'"),
+            _integer(spec.get("char", groebner.DEFAULT_PRIME), "'char'"))
     if kind == "semigroup":
-        return invariants.semigroup_context(semigroup.semigroup(spec["gens"]))
+        return invariants.semigroup_context(semigroup.semigroup(
+            [_integer(g, "a semigroup generator") for g in spec["gens"]]))
     raise InputError(f"unknown ring kind {kind!r}")
 
 
@@ -54,7 +63,7 @@ FORM_KINDS = {"monomial": "poly", "polynomials": "poly", "exponents": "semigroup
 def _vector(ctx, v):
     """An exponent vector of the poly ring ctx: ctx.dim nonnegative integers."""
     if not (isinstance(v, list) and len(v) == ctx.dim
-            and all(type(a) is int and a >= 0 for a in v)):
+            and all(_integer(a, "an exponent") >= 0 for a in v)):
         raise InputError(f"{v!r} is not a vector of {ctx.dim} nonnegative integers")
     return tuple(v)
 
@@ -71,18 +80,18 @@ def _build_ideal(data, rings, ideals, spec):
     if form == "monomial":
         return ctx, monomial.minimalize(ctx.dim, [_vector(ctx, v) for v in spec["data"]])
     if form == "exponents":
-        return ctx, semigroup.ideal(ctx.numerical, [int(v) for v in spec["data"]])
+        return ctx, semigroup.ideal(ctx.numerical,
+                                    [_integer(v, "a semigroup exponent") for v in spec["data"]])
     if form == "polynomials":
         ring = groebner.PolyRing(ctx.dim, ctx.char_p)
-        gens = [{_vector(ctx, t["exp"]): int(t["coef"]) for t in poly}
+        gens = [{_vector(ctx, t["exp"]): _integer(t["coef"], "a coefficient") for t in poly}
                 for poly in spec["data"]]
         return ctx, groebner.GroebnerIdeal(ring, gens)
     if form == "extend":
         bctx, base = _resolve_ideal(data, rings, ideals, spec["data"]["base"])
-        extra = spec["data"]["extra"]
-        if bctx.kind == "poly":
-            extra = [_vector(bctx, v) for v in extra]
-        return bctx, base.extend(extra)
+        return bctx, base.extend([_vector(bctx, v) if bctx.kind == "poly"
+                                  else _integer(v, "a semigroup exponent")
+                                  for v in spec["data"]["extra"]])
     raise InputError(f"unknown ideal form {form!r}")
 
 

@@ -438,11 +438,6 @@ def local_colength(A):
     return local
 
 
-def local_ideal_equal(A, B):
-    """Local equality at the origin for A contained in B."""
-    return local_colength(A) == local_colength(B)
-
-
 def _elim_ring(ring):
     return PolyRing(ring.nvars + 1, ring.char_p, TermOrder("block", 1))
 
@@ -539,7 +534,8 @@ def reduction_number(Q, I, cap=30):
         raise ValueError("Q is not contained in I")
     QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
     for s in range(cap + 1):
-        if local_ideal_equal(QIs, Inext):
+        # Q*I^s lies in I^(s+1), so equal local colengths mean equal ideals
+        if local_colength(QIs) == local_colength(Inext):
             return s
         QIs, Inext = ideal_product(Q, Inext), ideal_product(Inext, I)
     raise CapExceeded(f"no reduction relation up to cap {cap}")

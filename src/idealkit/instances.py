@@ -7,7 +7,6 @@ statuses per bound so a sweep can assert "no violations" at a glance.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from . import bounds, groebner, invariants, monomial, semigroup
 from .binomfit import binom
@@ -161,9 +160,8 @@ def _battery_e0Ih(inst):
         {(0, b, 0): 1, (0, 0, c): p - 1},
         {(alpha, beta, gamma): 1},
     ])
-    red = invariants.reduction_number(ctx, Q, I)
-    reports.append(bounds.check_cor_e1para(ctx, Q, I, red=red))
-    return reports, {"red_Q_I": red}
+    reports.append(bounds.check_cor_e1para(ctx, Q, I))
+    return reports, {"red_Q_I": invariants.reduction_number(ctx, Q, I)}
 
 
 def _battery_random_monomial(inst):
@@ -192,9 +190,7 @@ def _battery_random_monomial(inst):
     reports.append(bounds.check_cor_after_3_3(ctx))
     if d <= 2:
         rep = invariants.minimal_reduction(ctx, I, seed=seed)
-        reports.append(bounds.check_rossi(ctx, rep.reduction, I,
-                                          red=rep.reduction_number,
-                                          sampled=not rep.certified))
+        reports.append(bounds.check_rossi(ctx, rep.reduction, I, sampled=not rep.certified))
     return reports, {}
 
 
@@ -218,8 +214,8 @@ def _battery_semigroup(inst):
         extra["e1_identity_rhs"] = lam_colon * (semigroup.nu(I) - 1)
         extra["e1_identity_ok"] = e1_fit == extra["e1_identity_rhs"]
     reports = [
-        bounds.check_cor_e1para(ctx, Q, I, red=red),
-        bounds.check_rossi(ctx, Q, I, red=red),
+        bounds.check_cor_e1para(ctx, Q, I),
+        bounds.check_rossi(ctx, Q, I),
         bounds.check_thm_3_1(ctx, I, seed=inst["seed"]),
         bounds.check_thm_3_3(ctx, I, seed=inst["seed"]),
         bounds.check_cor_after_3_3(ctx),
@@ -244,10 +240,9 @@ def _battery_example_2_4(inst):
     lam_iq = semigroup.rel_length(I, Q)
     mi = semigroup.product(m, I)
     mi_in_q = semigroup.contains_ideal(Q, mi)
-    s = red
     mm = bounds._extra_generator_count(I, Q)
     lam_colon = Q.colon(I).colength()
-    e1hs_rhs = lam_colon * (binom(mm + s, s) - 1)
+    e1hs_rhs = lam_colon * (binom(mm + red, red) - 1)
     claims = {
         "mI_in_Q": {"engine": mi_in_q, "claimed": True,
                     "agree": mi_in_q is True},
@@ -268,25 +263,28 @@ def _battery_example_2_4(inst):
                                  "agree": e1 == e1_series},
     }
     reports = [
-        bounds.check_cor_sally(ctx, Q, I, red=red),
-        bounds.check_rossi(ctx, Q, I, red=red),
+        bounds.check_cor_sally(ctx, Q, I),
+        bounds.check_rossi(ctx, Q, I),
     ]
     return reports, {"claims": claims}
 
 
+BATTERIES = {"e0Ih": _battery_e0Ih, "random_monomial_d2": _battery_random_monomial,
+             "random_monomial_d3": _battery_random_monomial,
+             "semigroup_small": _battery_semigroup, "example_2_4": _battery_example_2_4}
+
+
 def run_battery(inst):
-    """All applicable checks for one instance; returns a JSON-able record."""
-    fam = inst["family"]
-    if fam == "e0Ih":
-        reports, extra = _battery_e0Ih(inst)
-    elif fam.startswith("random_monomial"):
-        reports, extra = _battery_random_monomial(inst)
-    elif fam == "semigroup_small":
-        reports, extra = _battery_semigroup(inst)
-    elif fam == "example_2_4":
-        reports, extra = _battery_example_2_4(inst)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
+    """All applicable checks for one instance, in one invariants memo; returns
+    a JSON-able record."""
+    battery = BATTERIES.get(inst["family"])
+    if battery is None:
+        raise ValueError(f"unknown family {inst['family']!r}")
+    token = invariants.MEMO.set({})
+    try:
+        reports, extra = battery(inst)
+    finally:
+        invariants.MEMO.reset(token)
     return {
         "id": inst["id"],
         "instance": inst,
@@ -309,6 +307,7 @@ def aggregate(records):
 def sweep(family, count=None, seed=0, jobs=1):
     insts = make_family(family, count, seed)
     if jobs > 1 and len(insts) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools load multiprocessing
         # the pool starts all its workers at once, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(insts))) as pool:
             records = list(pool.map(run_battery, insts))

@@ -5,7 +5,7 @@ ideals, numerical-semigroup ideals, or GF(p) polynomial ideals), this module
 tabulates the length and generator-count sequences of its powers, fits them in
 the signed binomial basis to obtain the Hilbert coefficients e_0..e_d and
 fiber coefficients f_0..f_{d-1}, and computes reduction numbers, minimal
-reductions, socle extensions and related integers.  Everything is exact.
+reductions and related integers.  Everything is exact.
 
 The ideal protocol: monomial.MonomialIdeal, semigroup.SemigroupIdeal and
 groebner.GroebnerIdeal all have the methods colength() (local for GF(p)),
@@ -18,10 +18,16 @@ equals into its own ring; a monomial ideal raises TypeError when member or
 contains_ideal is given a polynomial or a GF(p) ideal.  Each method calls its
 engine's module function by name when it runs, so the module functions remain
 the implementation.
+
+The checkers ask for the same invariants of J and I = J + (h) again and again,
+so the functions marked @_memoized compute once per battery: run_battery opens
+MEMO for one battery (not the process, so repeated benchmark passes stay cold),
+keyed by positional arguments: GF(p) ideals by identity, the rest by value.
 """
 
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from itertools import accumulate, product
 from math import isqrt
 from operator import methodcaller
@@ -33,6 +39,7 @@ from . import binomfit, groebner, monomial, semigroup
 HORIZON_MAX = 200
 REDUCTION_CAP = 30
 SAMPLE_COUNT = 8
+MEMO = ContextVar("MEMO", default=None)  # {(function, args): result} of the open battery
 
 
 class HorizonExceeded(Exception):
@@ -116,6 +123,21 @@ class SallyReport:
     hypotheses_note: str
 
 
+def _memoized(fn):
+    """fn, answered from MEMO; keyword arguments or no open memo call through."""
+    @wraps(fn)
+    def memo_fn(*args, **kwargs):
+        memo = MEMO.get()
+        if memo is None or kwargs:
+            return fn(*args, **kwargs)
+        key = (fn, args)
+        if key not in memo:
+            memo[key] = fn(*args)  # an exception stores nothing
+        return memo[key]
+
+    return memo_fn
+
+
 # ---------------------------------------------------------------- lifting
 
 def to_groebner(ctx, I):
@@ -152,6 +174,7 @@ def _fit_with_horizon(make_seq, d, degree):
             horizon = min(2 * horizon, HORIZON_MAX)
 
 
+@_memoized
 def hilbert_coeffs(ctx, I):
     """Hilbert coefficients e_0..e_d of an m-primary ideal."""
     d = ctx.dim
@@ -160,6 +183,7 @@ def hilbert_coeffs(ctx, I):
     return HilbertData(d, report.poly.coeffs, report.postulation_index, seq)
 
 
+@_memoized
 def fiber_coeffs(ctx, J):
     """Fiber coefficients f_0..f_{d-1}, with an independent f_0 cross-check.
 
@@ -181,14 +205,13 @@ def fiber_coeffs(ctx, J):
     return FiberData(d, report.poly.coeffs, report.postulation_index, seq)
 
 
+@_memoized
 def normal_coeffs(ctx, I):
     """Hilbert and fiber data of the integral-closure filtration n -> bar(I^n)."""
+    if not isinstance(I, monomial.MonomialIdeal):
+        raise monomial.DimensionUnsupported("the normal filtration needs the monomial engine")
     d = ctx.dim
-    NP = monomial.newton(I)
-
-    @cache
-    def table(h):
-        return monomial.closure_data(I, h, NP=NP)
+    table = cache(lambda h: monomial.closure_data(I, h))
 
     def column(index):
         return lambda h: binomfit.LengthSequence(1, tuple(row[index] for row in table(h)))
@@ -234,6 +257,7 @@ def colon_colength(ctx, Q, I):
     return Q.colon(I).colength()
 
 
+@_memoized
 def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
     """Least s with I^(s+1) = Q * I^s (at the origin for GF(p) ideals).
 
@@ -323,13 +347,7 @@ def sally_multiplicity(ctx, Q, I):
     return SallyReport(s0, hil.e[1], e1_q, hil.e[0], lam, note)
 
 
-def socle_extension(ctx, Q, s):
-    """The ideal Q : m^s."""
-    if s == 0:
-        return Q
-    return Q.colon(ctx.maximal_ideal().power(s))
-
-
+@_memoized
 def nu_power_criterion(ctx, I):
     """Least n with nu(I^n) < C(n+d, d); then n-1 bounds some minimal
     reduction number of I.

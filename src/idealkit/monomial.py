@@ -5,10 +5,10 @@ a in N^(d-1), is the least e with x^(a,e) in the ideal, or INF.  h is a
 read-only int64 array over the box a_i <= (largest exponent of x_i in a
 minimal generator), past which it repeats its last slice, so it is canonical
 and defines equality and hashing.  Membership, containment, colengths,
-generator counts, sums, intersections, products and colons are closed forms
-on h; the minimal generators, the cells where h drops along every axis, are
-read off it only when asked for.  Integral closures follow from Newton
-polyhedra built by exact integer facet enumeration.
+generator counts, sums, products and colons are closed forms on h; the
+minimal generators, the cells where h drops along every axis, are read off it
+only when asked for.  Integral closures follow from Newton polyhedra built by
+exact integer facet enumeration, once per ideal.
 """
 
 import random
@@ -65,6 +65,11 @@ class MonomialIdeal:
         return tuple((*a[:self.dim - 1], e) for a, e in
                      zip(np.argwhere(drops).tolist(), h[drops].tolist()))
 
+    @cached_property
+    def newton(self):
+        """Newton polyhedron, built on first use (see the function newton)."""
+        return newton(self)
+
     def member(self, v):
         """x^v lies in the ideal: h at the cell of v, clipped to the box, is at most v_d."""
         if isinstance(v, dict):
@@ -111,7 +116,7 @@ class MonomialIdeal:
 
     def integral_over(self, v):
         """v lies in the integral closure of the ideal."""
-        return np_contains(newton(self), v)
+        return np_contains(self.newton, v)
 
     def extend(self, extra):
         """The ideal plus the monomials with exponent vectors in extra."""
@@ -294,11 +299,6 @@ def colon(J, I):
     return _from_heights(J.dim, out)
 
 
-def intersect(I, J):
-    """Intersection of monomial ideals: the elementwise max of the heights."""
-    return _from_heights(I.dim, np.maximum(*_common(I, J)))
-
-
 @dataclass(frozen=True)
 class NewtonPolyhedron:
     """H-representation <normal, v> >= offset with integer data, normals >= 0."""
@@ -360,14 +360,14 @@ def np_contains(NP, v):
                for normal, offset in NP.halfspaces)
 
 
-def _closure_heights(I, NP, n):
+def _closure_heights(I, n):
     """Heights of the integral closure of I^n (I m-primary): the least e with
     <normal, (a, e)> >= n * offset on every facet of NP(I).  A facet with
     normal_d = 0 has offset 0, as NP(I) meets every axis."""
     shape = _box(n * (s - 1) + 1 for s in I.heights.shape[:I.dim - 1])
     axes = np.indices(shape, sparse=True)
     out = np.zeros(shape, dtype=np.int64)
-    for normal, offset in NP.halfspaces:
+    for normal, offset in I.newton.halfspaces:
         if normal[-1] > 0:
             if n * offset + sum(w * s for w, s in zip(normal[:-1], shape)) >= INF:
                 raise MemoryError("closure staircase is over the int64 range")
@@ -378,23 +378,19 @@ def _closure_heights(I, NP, n):
     return out
 
 
-def integral_closure(I, n=1, NP=None):
+def integral_closure(I, n=1):
     """The monomial ideal of all lattice points of n * NP(I)."""
     if not is_m_primary(I):
         raise NotMPrimary("integral closure implemented for m-primary ideals")
     if n < 1:
         raise ValueError("n >= 1 required")
-    if NP is None:
-        NP = newton(I)
-    return _from_heights(I.dim, _closure_heights(I, NP, n))
+    return _from_heights(I.dim, _closure_heights(I, n))
 
 
-def closure_data(I, nmax, NP=None):
+def closure_data(I, nmax):
     """(colength, nu) of the integral closure of I^n for n = 1..nmax."""
     pure_bounds(I)
-    if NP is None:
-        NP = newton(I)
-    closures = (_from_heights(I.dim, _closure_heights(I, NP, n)) for n in range(1, nmax + 1))
+    closures = (_from_heights(I.dim, _closure_heights(I, n)) for n in range(1, nmax + 1))
     return [(int(C.heights.sum()), nu(C)) for C in closures]
 
 
@@ -402,7 +398,7 @@ def sample_integral_element(J, rng_seed):
     """A deterministic monomial integral over J but not in J."""
     if not is_m_primary(J):
         raise NotMPrimary("sampling requires an m-primary ideal")
-    cands = _between(_closure_heights(J, newton(J), 1), J.heights, J.dim)
+    cands = _between(_closure_heights(J, 1), J.heights, J.dim)
     if not cands:
         raise Exhausted("ideal is integrally closed")
     rng = random.Random(rng_seed)

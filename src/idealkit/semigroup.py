@@ -49,18 +49,6 @@ class NumericalSemigroup:
         m = self.multiplicity
         return tuple(sorted(x for r, a in enumerate(self.apery) for x in range(r, a, m)))
 
-    def elements_below(self, bound):
-        return [x for x in range(bound) if self.contains(x)]
-
-    def minimal_generators(self):
-        """Elements of H not expressible as a sum of two positive elements."""
-        mins = []
-        for g in sorted(set(self.generators)):
-            if not any(self.contains(g - e) for e in mins if 0 < g - e):
-                # g - e == 0 means duplicate, filtered by set above
-                mins.append(g)
-        return tuple(mins)
-
 
 def semigroup(gens):
     """Numerical semigroup generated by gens (gcd must be 1)."""

@@ -85,7 +85,7 @@ def test_acceptance_2_reduction_of_cube_example():
     ])
     red = gb.reduction_number(Q, iv.to_groebner(ctx, I))
     assert red <= 2
-    rep = bd.check_cor_e1para(ctx, Q, I, red=red)
+    rep = bd.check_cor_e1para(ctx, Q, I)
     assert rep.status == "verified"
     elapsed = time.time() - t0
     assert elapsed < 180
@@ -182,9 +182,7 @@ def test_acceptance_6_reduction_bounds():
         rep = iv.minimal_reduction(ctx2, mn, seed=n)
         Q = (mn if mn.nu() == 2 else
              gb.GroebnerIdeal(gb.PolyRing(2), [dict(g) for g in rep.q_descriptor]))
-        extra_reports.append(bd.check_rossi(ctx2, Q, mn,
-                                            red=rep.reduction_number,
-                                            sampled=not rep.certified))
+        extra_reports.append(bd.check_rossi(ctx2, Q, mn, sampled=not rep.certified))
     all_reports = [rep for rec in records for rep in rec["reports"]]
     all_reports += [r.as_dict() for r in extra_reports]
     watched = ("thm_3_1", "thm_3_3", "cor_after_3_3", "rossi")

@@ -49,13 +49,13 @@ def test_thm_2_3_skips_non_integral(ctx2):
     J = mo.minimalize(2, [(3, 0), (0, 3)])
     rep = bd.check_thm_2_3(ctx2, J, (1, 1))
     assert rep.status == "skipped"
-    assert not rep.hypotheses_ok
+    assert rep.hypotheses == (("h_integral_over_J", False),)
 
 
 def test_cor_e1para_gorenstein_identity(ctx2, msq):
     rep_min = iv.minimal_reduction(ctx2, msq, samples=4, seed=9)
     Q = gb.GroebnerIdeal(gb.PolyRing(2), [dict(g) for g in rep_min.q_descriptor])
-    rep = bd.check_cor_e1para(ctx2, Q, msq, red=rep_min.reduction_number)
+    rep = bd.check_cor_e1para(ctx2, Q, msq)
     assert rep.status == "verified"
     assert (rep.lhs, rep.rhs) == (1, 1)
     assert rep.witness["gorenstein_identity_ok"]

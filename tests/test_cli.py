@@ -1,5 +1,6 @@
 """CLI surface tests: verbs, exit codes, deterministic JSON."""
 
+import concurrent.futures
 import json
 import os
 import tempfile
@@ -149,7 +150,7 @@ def test_sweep_pool_no_larger_than_the_sweep(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(instances, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = instances.sweep("example_2_4", count=2, jobs=1)
     assert instances.sweep("example_2_4", count=2, jobs=500) == serial
     assert sizes == [2]
@@ -329,10 +330,42 @@ def test_normalization_skips_ideals_outside_the_monomial_engine(tmp_path, capsys
       "ideals": {"M": {"ring": "P1", "form": "monomial", "data": [[3]]},
                  "E": {"ring": "H34", "form": "exponents", "data": [6, 8]}}},
      ["check", "--theorem", "thm_2_2", "--bind", "J=M,I=E"]),
+    # a number that is not a JSON integer is refused, never truncated
+    ({"rings": {"H479": {"kind": "semigroup", "gens": [4, 7, 9]}},
+      "ideals": {"A": {"ring": "H479", "form": "exponents", "data": [12.9, 14, 17]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2.9}},
+      "ideals": {"A": {"ring": "P2", "form": "monomial", "data": [[2, 0], [0, 2]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"H": {"kind": "semigroup", "gens": [4.5, 7, 9]}},
+      "ideals": {"A": {"ring": "H", "form": "exponents", "data": [14]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2, "char": 32003.5}},
+      "ideals": {"A": {"ring": "P2", "form": "monomial", "data": [[2, 0], [0, 2]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": 2}},
+      "ideals": {"A": {"ring": "P2", "form": "polynomials",
+                       "data": [[{"exp": [2, 0], "coef": 1.7}],
+                                [{"exp": [0, 2], "coef": 1}]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P1": {"kind": "poly", "vars": True}},
+      "ideals": {"A": {"ring": "P1", "form": "monomial", "data": [[2]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"P2": {"kind": "poly", "vars": "2"}},
+      "ideals": {"A": {"ring": "P2", "form": "monomial", "data": [[2, 0], [0, 2]]}}},
+     ["coeffs", "--ideal", "A"]),
+    ({"rings": {"H34": {"kind": "semigroup", "gens": [3, 4]}},
+      "ideals": {"B": {"ring": "H34", "form": "exponents", "data": [6]},
+                 "A": {"ring": "H34", "form": "extend",
+                       "data": {"base": "B", "extra": [8.5]}}}},
+     ["coeffs", "--ideal", "A"]),
 ], ids=["exponents_on_poly", "monomial_on_semigroup",
         "polynomials_on_semigroup", "top_level_array", "ring_not_object",
         "rings_not_object", "ideal_not_object", "negative_exponent",
-        "short_exponent", "extends_itself", "bindings_in_two_rings"])
+        "short_exponent", "extends_itself", "bindings_in_two_rings",
+        "float_semigroup_exponent", "float_vars", "float_semigroup_generator",
+        "float_char", "float_coefficient", "bool_vars", "string_vars",
+        "float_extend_exponent"])
 def test_malformed_instance_file_is_input_error(tmp_path, capsys, payload, argv):
     path = tmp_path / "instances.json"
     path.write_text(json.dumps(payload))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from idealkit import binomfit, instances
 from idealkit import groebner as gb
 from idealkit import invariants as iv
 from idealkit import monomial as mo
@@ -153,12 +154,6 @@ def test_sally_multiplicity(ctx2):
     assert (rep.s0, rep.e1_i, rep.e1_q, rep.e0_i, rep.colength_i) == (0, 1, 0, 4, 3)
 
 
-def test_socle_extension(ctx2):
-    Q = mo.minimalize(2, [(2, 0), (0, 2)])
-    assert iv.socle_extension(ctx2, Q, 1).gens == ((0, 2), (1, 1), (2, 0))
-    assert iv.socle_extension(ctx2, Q, 0).gens == Q.gens
-
-
 def test_nu_power_criterion(ctx2):
     assert iv.nu_power_criterion(ctx2, ctx2.maximal_ideal()) == 0
     assert iv.nu_power_criterion(ctx2, mo.power(ctx2.maximal_ideal(), 2)) == 1
@@ -194,3 +189,54 @@ def test_horizon_doubling_handles_late_stabilization(ctx2):
     poly = bf.BinomialPolynomial(2, hil.e)
     for n in (hil.postulation, hil.postulation + 3):
         assert bf.eval_binomial(poly, n) == hil.sequence.at(n)
+
+
+# ------------------------------------------------------------ battery memo
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_battery_memo_is_closed_after_the_battery():
+    inst = instances.make_family("semigroup_small", count=1, seed=3)[0]
+    instances.run_battery(inst)
+    assert iv.MEMO.get() is None
+    with pytest.raises(ValueError):  # 5 is not in <4, 7, 9>
+        instances.run_battery({**inst, "H": [4, 7, 9], "I": [5]})
+    assert iv.MEMO.get() is None
+
+
+def test_each_battery_starts_cold_and_shares_work_inside(monkeypatch):
+    inst = instances.make_family("semigroup_small", count=1, seed=3)[0]
+    fits = _counting(monkeypatch, binomfit, "fit_binomial")
+    hilbert = _counting(monkeypatch, iv, "hilbert_coeffs")
+    records, fit_counts = [], []
+    for _ in range(2):
+        fits.clear()
+        hilbert.clear()
+        records.append(instances.run_battery(inst))
+        fit_counts.append(len(fits))
+    assert records[0] == records[1]
+    assert fit_counts[0] == fit_counts[1] < len(hilbert)
+
+
+def test_keyword_arguments_bypass_the_memo(ctx2):
+    I = mo.power(ctx2.maximal_ideal(), 2)
+    Q = mo.minimalize(2, [(2, 0), (0, 2)])
+    token = iv.MEMO.set({})
+    try:
+        assert iv.reduction_number(ctx2, Q, I, cap=3) == 1
+        assert iv.MEMO.get() == {}
+        assert iv.reduction_number(ctx2, Q, I) == 1
+        assert len(iv.MEMO.get()) == 1
+    finally:
+        iv.MEMO.reset(token)
