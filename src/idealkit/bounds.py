@@ -234,8 +234,8 @@ def check_thm_3_1(ctx, I, seed=0, samples=invariants.SAMPLE_COUNT):
     """red(I) <= max(d*e0(I)/o(I) - 2d + 1, 0) for some minimal reduction."""
     d = ctx.dim
     e0 = invariants.hilbert_coeffs(ctx, I).e[0]
-    o = I.order()
-    rhs = max(d * e0 // o - 2 * d + 1, 0)
+    o = I.order()  # 0 only for the unit ideal, whose reduction number is 0
+    rhs = max(d * e0 // o - 2 * d + 1, 0) if o else 0
     bound, certified, details = _best_reduction_bound(ctx, I, seed, samples,
                                                       good_enough=rhs)
     witness = {"e0_I": e0, "order": o, "red_upper_bound": bound,

@@ -226,6 +226,8 @@ def cmd_sweep(args):
 
 
 def cmd_minreduce(args):
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, not {args.samples}")
     data, rings, ideals = _load_instances(args.file)
     ctx, I = _resolve_ideal(data, rings, ideals, args.ideal)
     rep = invariants.minimal_reduction(ctx, I, samples=args.samples,

@@ -23,12 +23,14 @@ The checkers ask for the same invariants of J and I = J + (h) again and again,
 so the functions marked @_memoized compute once per battery: run_battery opens
 MEMO for one battery (not the process, so repeated benchmark passes stay cold),
 keyed by positional arguments: GF(p) ideals by identity, the rest by value.
+The memo also keeps one list of each ideal's powers for every walk over them,
+and minimal_reduction tests all its samples against one walk, step by step.
 """
 
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, wraps
-from itertools import accumulate, product
+from itertools import accumulate, count, islice
 from math import isqrt
 from operator import methodcaller
 
@@ -130,10 +132,11 @@ def _memoized(fn):
         memo = MEMO.get()
         if memo is None or kwargs:
             return fn(*args, **kwargs)
-        key = (fn, args)
-        if key not in memo:
-            memo[key] = fn(*args)  # an exception stores nothing
-        return memo[key]
+        key = (fn, args)  # hashed once on a hit: ideals hash their whole value
+        result = memo.get(key, memo)  # the memo itself marks a miss
+        if result is memo:
+            result = memo[key] = fn(*args)  # an exception stores nothing
+        return result
 
     return memo_fn
 
@@ -149,15 +152,24 @@ def to_groebner(ctx, I):
 
 # ---------------------------------------------------------------- sequences
 
+@_memoized
+def _powers(I):
+    """[I, I^2, ...] as far as _power_walk has read them in the open battery."""
+    return [I]
+
+
+def _power_walk(I):
+    """I, I^2, I^3, ...: each power is taken from _powers(I), or made and kept there."""
+    powers = _powers(I)
+    for n in count():
+        if n == len(powers):
+            powers.append(powers[-1].product(I))
+        yield powers[n]
+
+
 def _power_sequence(I, nmax, value):
     """value(I^n) for n = 1..nmax, e.g. lam(R/I^n) or nu(I^n)."""
-    out = []
-    cur = I
-    for n in range(1, nmax + 1):
-        out.append(value(cur))
-        if n < nmax:
-            cur = cur.product(I)
-    return binomfit.LengthSequence(1, tuple(out))
+    return binomfit.LengthSequence(1, tuple(map(value, islice(_power_walk(I), nmax))))
 
 
 def _fit_with_horizon(make_seq, d, degree):
@@ -275,34 +287,49 @@ def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
     if isinstance(I, semigroup.SemigroupIdeal):
         if not I.contains_ideal(Q):
             raise ValueError("Q is not contained in I")
-        QIs, Inext = Q, I  # Q*I^s and I^(s+1), from s = 0
-        for s in range(cap + 1):
+        QIs = Q  # Q*I^s, against I^(s+1), from s = 0
+        for s, Inext in zip(range(cap + 1), _power_walk(I)):
             if QIs.equals(Inext):
                 return s
-            QIs, Inext = Q.product(Inext), Inext.product(I)
+            QIs = Q.product(Inext)
         raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
     qs, p = _polynomials(ctx, Q)
     if not _contains_termwise(I, qs):
         raise ValueError("Q is not contained in I")
-    Is, Inext = monomial.unit_ideal(I.dim), I  # I^s and I^(s+1), from s = 0
-    for s in range(cap + 1):
+    return _least_full_rank([qs], p, I, cap)[0]
+
+
+_reduction_number = reduction_number.__wrapped__  # its memo key; tracers replace only the wrapper
+
+
+def _least_full_rank(samples, p, I, cap):
+    """(s, k): the least step s at which some samples[k] (generators in I, as
+    term dicts) gives the matrix of reduction_number full column rank, and the
+    first such k.  The column of u*g (u a term, g in I^s) is found once a step."""
+    terms = sorted({u for qs in samples for q in qs for u in q})
+    coeffs = [np.array([[q.get(u, 0) for u in terms] for q in qs], dtype=np.int64)
+              for qs in samples]
+    Is = monomial.unit_ideal(I.dim)
+    for s, Inext in zip(range(cap + 1), _power_walk(I)):
         column = {w: k for k, w in enumerate(Inext.gens)}
-        nrows = len(qs) * len(Is.gens)
-        if nrows >= len(column):  # fewer rows cannot have full column rank
-            M = np.zeros((nrows, len(column)), dtype=np.int64)
-            for r, (q, g) in enumerate(product(qs, Is.gens)):
-                for u, c in q.items():
-                    k = column.get(tuple(a + b for a, b in zip(u, g)))
-                    if k is not None:
-                        M[r, k] = c
-            if groebner._rank_mod(M, p) == len(column):
-                return s
-        Is, Inext = Inext, Inext.product(I)
+        at = np.array([[column.get(tuple(a + b for a, b in zip(u, g)), -1) for u in terms]
+                       for g in Is.gens], dtype=np.int64)
+        rows, ts = np.nonzero(at >= 0)
+        cols = at[rows, ts]
+        for k, C in enumerate(coeffs):
+            nrows = len(C) * len(Is.gens)
+            if nrows >= len(column):  # fewer rows cannot have full column rank
+                M = np.zeros((nrows, len(column)), dtype=np.int64)
+                M[np.arange(len(C))[:, None] * len(Is.gens) + rows, cols] = C[:, ts]
+                if groebner._rank_mod(M, p) == len(column):
+                    return s, k
+        Is = Inext
     raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
 
 
 def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
-    """A d-generated reduction with the best reduction number over samples."""
+    """A d-generated reduction with the best reduction number over samples:
+    the first with the least, all tested together for a monomial I."""
     if ctx.kind == "semigroup":
         e = min(I.gens)
         Q = semigroup.ideal(ctx.numerical, [e])
@@ -312,11 +339,23 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
     if isinstance(I, monomial.MonomialIdeal) and I.nu() == d:
         return ReductionReport(I, 0, True, 0, True)
     Ig = to_groebner(ctx, I)
+    draws = (groebner.random_minimal_reduction(list(Ig.gens), d, Ig.ring,
+                                               rng_seed=seed * 10007 + k)
+             for k in range(samples))
     best = None
     tried = 0
-    for k in range(samples):
-        Q = groebner.random_minimal_reduction(list(Ig.gens), d, Ig.ring,
-                                              rng_seed=seed * 10007 + k)
+    if isinstance(I, monomial.MonomialIdeal) and samples > 0:
+        Qs = list(draws)
+        try:
+            s, k = _least_full_rank([Q.gens for Q in Qs], Ig.ring.char_p, I, REDUCTION_CAP)
+        except groebner.CapExceeded:
+            pass
+        else:
+            best, tried = (Qs[k], s), (k + 1 if s == 0 else samples)
+            memo = MEMO.get()
+            if memo is not None:  # the checkers ask for this number again
+                memo[(_reduction_number, (ctx, Qs[k], I))] = s
+    for Q in draws:  # already drained for a monomial I
         tried += 1
         try:
             s = reduction_number(ctx, Q, I)
@@ -357,11 +396,9 @@ def nu_power_criterion(ctx, I):
     theorem is what the checkers' bound_certified flag rests on.
     """
     d = ctx.dim
-    cur = I
-    for n in range(1, REDUCTION_CAP + 1):
+    for n, cur in zip(range(1, REDUCTION_CAP + 1), _power_walk(I)):
         if cur.nu() < binomfit.binom(n + d, d):
             return n - 1
-        cur = cur.product(I)
     raise groebner.CapExceeded(f"criterion inconclusive up to n={REDUCTION_CAP}")
 
 

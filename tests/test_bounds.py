@@ -105,6 +105,13 @@ def test_thm_3_1_maximal_ideal(ctx2):
     assert rep.lhs == 0
 
 
+def test_thm_3_1_unit_ideal_has_order_zero(ctx2):
+    H = sg.semigroup([2, 3])
+    for ctx, R in ((ctx2, mo.unit_ideal(2)), (iv.semigroup_context(H), sg.ideal(H, [0]))):
+        rep = bd.check_thm_3_1(ctx, R)  # divided by the order 0
+        assert (rep.status, rep.lhs, rep.rhs, rep.witness["order"]) == ("verified", 0, 0, 0)
+
+
 def test_lemma_3_2():
     H = sg.semigroup([4, 7, 9])
     ctx = iv.semigroup_context(H)

@@ -236,6 +236,8 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
                                     [{"exp": [0, 1], "coef": 1}]]}}},
      ["coeffs", "--ideal", "mpoly", "--normal"], 2),
     ({}, ["minreduce", "--ideal", "msq", "--samples", "0"], 3),
+    ({}, ["minreduce", "--ideal", "msq", "--samples", "-1"], 2),
+    ({}, ["minreduce", "--ideal", "Isg", "--samples", "-1"], 2),
     # (0, y^2): homogeneous and not zero-dimensional, so not m-primary
     ({"ideals": {"gz": {"ring": "P2", "form": "polynomials",
                         "data": [[{"exp": [0, 0], "coef": 0}],
@@ -265,7 +267,8 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
     ({"ideals": {"Pp": PARAM_POLY}},
      ["check", "--theorem", "thm_2_2", "--bind", "J=msq,I=Pp"], 2),
 ], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
-        "no_reduction_found", "gfp_homogeneous_not_m_primary",
+        "no_reduction_found", "negative_samples_poly", "negative_samples_semigroup",
+        "gfp_homogeneous_not_m_primary",
         "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
         "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce",
         "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i"])

@@ -1,8 +1,10 @@
 """Tests for the coefficient-extraction and reduction orchestration layer."""
 
+import json
+
 import pytest
 
-from idealkit import binomfit, instances
+from idealkit import binomfit, bounds, cli, instances
 from idealkit import groebner as gb
 from idealkit import invariants as iv
 from idealkit import monomial as mo
@@ -229,14 +231,164 @@ def test_each_battery_starts_cold_and_shares_work_inside(monkeypatch):
     assert fit_counts[0] == fit_counts[1] < len(hilbert)
 
 
+def _stored_reduction_numbers():
+    """The argument tuples under which the open memo holds a reduction number."""
+    return [args for fn, args in iv.MEMO.get() if fn is iv.reduction_number.__wrapped__]
+
+
 def test_keyword_arguments_bypass_the_memo(ctx2):
     I = mo.power(ctx2.maximal_ideal(), 2)
     Q = mo.minimalize(2, [(2, 0), (0, 2)])
     token = iv.MEMO.set({})
     try:
         assert iv.reduction_number(ctx2, Q, I, cap=3) == 1
-        assert iv.MEMO.get() == {}
+        assert _stored_reduction_numbers() == []
         assert iv.reduction_number(ctx2, Q, I) == 1
-        assert len(iv.MEMO.get()) == 1
+        assert _stored_reduction_numbers() == [(ctx2, Q, I)]
     finally:
         iv.MEMO.reset(token)
+
+
+# ------------------------------------------------------------ one power walk
+
+def _reference_reduction_number(ctx, Q, I, cap=iv.REDUCTION_CAP):
+    """The fiber-cone rank of reduction_number for one GF(p) Q and a
+    monomial I, walking I^s by products and building each matrix by hand."""
+    p = Q.ring.char_p
+    Is, Inext = mo.unit_ideal(I.dim), I
+    for s in range(cap + 1):
+        column = {w: k for k, w in enumerate(Inext.gens)}
+        rows = [(q, g) for q in Q.gens for g in Is.gens]
+        if len(rows) >= len(column):
+            M = [[0] * len(column) for _ in rows]
+            for row, (q, g) in zip(M, rows):
+                for u, c in q.items():
+                    k = column.get(tuple(a + b for a, b in zip(u, g)))
+                    if k is not None:
+                        row[k] = c
+            if gb._rank_mod(M, p) == len(column):
+                return s
+        Is, Inext = Inext, mo.product(Inext, I)
+    raise gb.CapExceeded(cap)
+
+
+def _reference_minimal_reduction(ctx, I, samples, seed):
+    """(q_descriptor, reduction number, samples tried) of the one-by-one
+    search: the first sample with the least reduction number, stopping at 0."""
+    Ig = iv.to_groebner(ctx, I)
+    best, tried = None, 0
+    for k in range(samples):
+        Q = gb.random_minimal_reduction(list(Ig.gens), ctx.dim, Ig.ring,
+                                        rng_seed=seed * 10007 + k)
+        tried += 1
+        try:
+            s = _reference_reduction_number(ctx, Q, I)
+        except gb.CapExceeded:
+            continue
+        if best is None or s < best[1]:
+            best = (Q.descriptor(), s)
+        if s == 0:
+            break
+    return None if best is None else (*best, tried)
+
+
+def _battery_ideals(family, count, seed):
+    for inst in instances.make_family(family, count=count, seed=seed):
+        J = mo.minimalize(inst["dim"], [tuple(g) for g in inst["J"]])
+        extras = [tuple(h) for h in inst["extras"]]
+        yield inst["seed"], (J.extend(extras) if extras else J)
+
+
+@pytest.mark.parametrize("family, count, seed, char_p", [
+    ("random_monomial_d2", 60, 11, gb.DEFAULT_PRIME),
+    ("random_monomial_d3", 20, 12, gb.DEFAULT_PRIME),
+    # over GF(7) samples differ: some are no reduction, and a later one can win
+    ("random_monomial_d2", 20, 11, 7)])
+def test_minimal_reduction_matches_the_one_by_one_search(family, count, seed, char_p):
+    sampled = 0
+    for inst_seed, I in _battery_ideals(family, count, seed):
+        ctx = iv.poly_context(I.dim, char_p)
+        if I.nu() == I.dim:
+            continue  # I is its own reduction; nothing is sampled
+        sampled += 1
+        for samples in (1, 3, 8):
+            want = _reference_minimal_reduction(ctx, I, samples, inst_seed)
+            if want is None:
+                with pytest.raises(iv.NoReductionFound):
+                    iv.minimal_reduction(ctx, I, samples=samples, seed=inst_seed)
+                continue
+            rep = iv.minimal_reduction(ctx, I, samples=samples, seed=inst_seed)
+            assert (rep.q_descriptor, rep.reduction_number, rep.samples_tried) == want
+    assert sampled
+
+
+def test_the_least_step_wins_then_the_first_sample(ctx2):
+    m2 = mo.power(ctx2.maximal_ideal(), 2)
+    Ig = iv.to_groebner(ctx2, m2)
+    general = gb.random_minimal_reduction(list(Ig.gens), 2, Ig.ring, rng_seed=0).gens
+    own = Ig.gens  # I itself: reduction number 0
+    x2 = [{(2, 0): 1}]  # no reduction
+    assert iv._least_full_rank([x2, general, own, own], ctx2.char_p, m2, 3) == (0, 2)
+    assert iv._least_full_rank([x2, general, general], ctx2.char_p, m2, 3) == (1, 1)
+    with pytest.raises(gb.CapExceeded):
+        iv._least_full_rank([x2], ctx2.char_p, m2, 3)
+
+
+def test_no_samples_find_no_reduction(ctx2):
+    m2 = mo.power(ctx2.maximal_ideal(), 2)
+    for I in (m2, iv.to_groebner(ctx2, m2)):
+        with pytest.raises(iv.NoReductionFound):
+            iv.minimal_reduction(ctx2, I, samples=0)
+
+
+def test_polynomial_ideal_keeps_its_minreduce_payload(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({
+        "rings": {"P2": {"kind": "poly", "vars": 2}},
+        "ideals": {"Ip": {"ring": "P2", "form": "polynomials", "data": [
+            [{"exp": [3, 0], "coef": 1}, {"exp": [0, 4], "coef": 2}],
+            [{"exp": [2, 1], "coef": 1}], [{"exp": [1, 2], "coef": 1}],
+            [{"exp": [0, 3], "coef": 1}]]}}}))
+    assert cli.main(["minreduce", "--file", str(path), "--ideal", "Ip",
+                     "--samples", "3", "--seed", "1"]) == 0
+    terms = ([0, 3], [0, 4], [1, 2], [2, 1], [3, 0])
+    assert json.loads(capsys.readouterr().out) == {
+        "certified": False, "is_minimal": True, "reduction_number": 1, "samples_tried": 3,
+        "q_descriptor": [[[list(u), c] for u, c in zip(terms, coeffs)] for coeffs in
+                         ((4780, 16814, 9440, 24957, 8407), (12656, 3625, 10958, 5618, 17814))]}
+
+
+def test_fits_and_criterion_share_one_power_walk(monkeypatch, ctx2):
+    I = mo.minimalize(2, [(5, 0), (3, 1), (1, 3), (0, 6)])
+    products = _counting(monkeypatch, mo, "product")
+    token = iv.MEMO.set({})
+    try:
+        hil = iv.hilbert_coeffs(ctx2, I)
+        fib = iv.fiber_coeffs(ctx2, I)
+        crit = iv.nu_power_criterion(ctx2, I)
+    finally:
+        iv.MEMO.reset(token)
+    horizon = max(len(hil.sequence), len(fib.sequence), crit + 1)
+    assert 0 < len(products) <= horizon - 1
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_rossi_reads_the_sampled_reduction_number(monkeypatch, ctx2, traced):
+    if traced:  # a wrapper on the module attribute, as the benchmark's tracer installs
+        memo_fn = iv.reduction_number
+
+        def wrapper(*args, **kwargs):
+            return memo_fn(*args, **kwargs)
+
+        wrapper.__wrapped__ = memo_fn
+        monkeypatch.setattr(iv, "reduction_number", wrapper)
+    I = mo.minimalize(2, [(3, 0), (2, 1), (0, 3)])
+    token = iv.MEMO.set({})
+    try:
+        rep = iv.minimal_reduction(ctx2, I, seed=5)
+        ranks = _counting(monkeypatch, gb, "_rank_mod")
+        report = bounds.check_rossi(ctx2, rep.reduction, I, sampled=True)
+    finally:
+        iv.MEMO.reset(token)
+    assert ranks == []
+    assert report.witness["red_Q_I"] == rep.reduction_number
