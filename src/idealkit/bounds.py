@@ -355,7 +355,7 @@ def check_intro_bounds(ctx, I):
         {"e0": e0, "e1": e1, "nu": nu_i, "colength": lam}))
     if isinstance(I, monomial.MonomialIdeal):
         s = I.order()
-        ms = monomial.power(m, s)
+        ms = invariants.power(m, s)
         distinct = monomial.integral_closure(I).gens != monomial.integral_closure(ms).gens
         reports.append(_report(
             "rossi_valla", [("closure_differs_from_power", distinct)],

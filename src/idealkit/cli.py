@@ -60,6 +60,15 @@ def _build_ring(spec):
 FORM_KINDS = {"monomial": "poly", "polynomials": "poly", "exponents": "semigroup"}
 
 
+# the ideal is the whole local ring: its staircase is 0 at the origin, it
+# holds t^0, or a generator has a nonzero constant term (a unit at the origin)
+IS_UNIT = {
+    monomial.MonomialIdeal: lambda I: I.is_unit,
+    semigroup.SemigroupIdeal: lambda I: I.member(0),
+    groebner.GroebnerIdeal: lambda I: any(not any(exp) for g in I.gens for exp in g),
+}
+
+
 def _vector(ctx, v):
     """An exponent vector of the poly ring ctx: ctx.dim nonnegative integers."""
     if not (isinstance(v, list) and len(v) == ctx.dim
@@ -78,21 +87,25 @@ def _build_ideal(data, rings, ideals, spec):
         raise InputError(f"form {form!r} needs a {FORM_KINDS[form]} ring, "
                          f"but ring {ring_name!r} is {ctx.kind}")
     if form == "monomial":
-        return ctx, monomial.minimalize(ctx.dim, [_vector(ctx, v) for v in spec["data"]])
-    if form == "exponents":
-        return ctx, semigroup.ideal(ctx.numerical,
-                                    [_integer(v, "a semigroup exponent") for v in spec["data"]])
-    if form == "polynomials":
+        I = monomial.minimalize(ctx.dim, [_vector(ctx, v) for v in spec["data"]])
+    elif form == "exponents":
+        I = semigroup.ideal(ctx.numerical,
+                            [_integer(v, "a semigroup exponent") for v in spec["data"]])
+    elif form == "polynomials":
         ring = groebner.PolyRing(ctx.dim, ctx.char_p)
-        gens = [{_vector(ctx, t["exp"]): _integer(t["coef"], "a coefficient") for t in poly}
-                for poly in spec["data"]]
-        return ctx, groebner.GroebnerIdeal(ring, gens)
-    if form == "extend":
-        bctx, base = _resolve_ideal(data, rings, ideals, spec["data"]["base"])
-        return bctx, base.extend([_vector(bctx, v) if bctx.kind == "poly"
-                                  else _integer(v, "a semigroup exponent")
-                                  for v in spec["data"]["extra"]])
-    raise InputError(f"unknown ideal form {form!r}")
+        I = groebner.GroebnerIdeal(ring, [
+            {_vector(ctx, t["exp"]): _integer(t["coef"], "a coefficient") for t in poly}
+            for poly in spec["data"]])
+    elif form == "extend":
+        ctx, base = _resolve_ideal(data, rings, ideals, spec["data"]["base"])
+        I = base.extend([_vector(ctx, v) if ctx.kind == "poly"
+                         else _integer(v, "a semigroup exponent")
+                         for v in spec["data"]["extra"]])
+    else:
+        raise InputError(f"unknown ideal form {form!r}")
+    if IS_UNIT[type(I)](I):
+        raise InputError("the ideal is the whole ring, not an m-primary ideal")
+    return ctx, I
 
 
 def _resolve_ideal(data, rings, ideals, name):

@@ -167,6 +167,11 @@ def _power_walk(I):
         yield powers[n]
 
 
+def power(I, n):
+    """I^n, read from the open battery's walk of I when n >= 1."""
+    return next(islice(_power_walk(I), n - 1, None)) if n >= 1 else I.power(n)
+
+
 def _power_sequence(I, nmax, value):
     """value(I^n) for n = 1..nmax, e.g. lam(R/I^n) or nu(I^n)."""
     return binomfit.LengthSequence(1, tuple(map(value, islice(_power_walk(I), nmax))))

@@ -1,19 +1,23 @@
 """Exact arithmetic of monomial ideals in a localized polynomial ring.
 
-An ideal of k[x_1..x_d] is stored by its staircase heights alone: h(a), for
-a in N^(d-1), is the least e with x^(a,e) in the ideal, or INF.  h is a
-read-only int64 array over the box a_i <= (largest exponent of x_i in a
-minimal generator), past which it repeats its last slice, so it is canonical
-and defines equality and hashing.  Membership, containment, colengths,
-generator counts, sums, products and colons are closed forms on h; the
-minimal generators, the cells where h drops along every axis, are read off it
-only when asked for.  Integral closures follow from Newton polyhedra built by
-exact integer facet enumeration, once per ideal.
+An ideal of k[x_1..x_d] is stored by its staircase heights: h(a), for a in
+N^(d-1), is the least e with x^(a,e) in the ideal, or INF.  h is a read-only
+int64 array over the box a_i <= (largest exponent of x_i in a minimal
+generator), past which it repeats its last slice, so it is canonical and
+defines equality and hashing.  h is nonincreasing along every axis, so its
+largest value is at the origin.  Membership, containment, colengths, sums,
+products and colons are closed forms on h; a product places h_I + g_d at each
+generator g of J and fills in the rest by a running minimum along each axis.
+The drop mask of h (the cells where it drops along every axis: the minimal
+generators) is kept with it, and generator counts and generators are read off
+it.  Integral closures follow from Newton polyhedra built by exact integer
+facet enumeration, once per ideal; those of I^n for n = 1..nmax come as
+tables over n.
 """
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd, prod
@@ -23,6 +27,7 @@ import numpy as np
 GRID_CELL_CAP = 50_000_000  # refuse staircases with more cells (400 MB of int64)
 INF = 1 << 62  # the height of a column that meets no monomial of the ideal
 HEIGHT_CAP = 1 << 31  # finite heights stay below this, so sums of them fit int64
+TABLE_CELLS = 1 << 16  # closure tables over n go in blocks of this many cells
 
 
 class NotMPrimary(Exception):
@@ -39,10 +44,11 @@ class Exhausted(Exception):
 
 @dataclass(frozen=True, eq=False)
 class MonomialIdeal:
-    """A monomial ideal by its trimmed, read-only staircase heights."""
+    """A monomial ideal by its trimmed, read-only staircase heights and their drop mask."""
 
     dim: int
     heights: np.ndarray
+    drops: np.ndarray = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -60,10 +66,8 @@ class MonomialIdeal:
     @cached_property
     def gens(self):
         """Minimal generators, sorted: the finite cells where h drops."""
-        h = self.heights
-        drops = _drops(h)
         return tuple((*a[:self.dim - 1], e) for a, e in
-                     zip(np.argwhere(drops).tolist(), h[drops].tolist()))
+                     zip(np.argwhere(self.drops).tolist(), self.heights[self.drops].tolist()))
 
     @cached_property
     def newton(self):
@@ -149,25 +153,31 @@ def _common(I, J):
     return _fit(I.heights, shape), _fit(J.heights, shape)
 
 
-def _drops(h):
-    """The finite cells of h where it drops along every axis."""
+def _drops(h, lead=0):
+    """The finite cells of h where it drops along every axis but the first lead."""
     drops = h < INF
-    for ax in range(h.ndim):
+    for ax in range(lead, h.ndim):
         cut = (slice(None),) * ax
         drops[cut + (slice(1, None),)] &= h[cut + (slice(1, None),)] < h[cut + (slice(-1),)]
     return drops
 
 
 def _from_heights(dim, h):
-    """The ideal with staircase heights h, a fresh array that it keeps,
-    trimmed to the box of its drop cells."""
-    h[h > INF >> 1] = INF  # INF plus or minus a height is still INF
+    """The ideal with staircase heights h, a fresh nonincreasing array that it keeps
+    with its drop mask, both trimmed to the box of the drop cells."""
+    top = h.flat[0]
+    if top > INF >> 1:
+        h[h > INF >> 1] = INF  # INF plus or minus a height is still INF
     drops = _drops(h)
-    if h.max(where=drops, initial=0) >= HEIGHT_CAP:
+    if top >= HEIGHT_CAP and h.max(where=drops, initial=0) >= HEIGHT_CAP:
         raise MemoryError("staircase heights are over the cap")
-    h = h[tuple(slice(b) for b in np.argwhere(drops).max(axis=0) + 1)]
-    h.flags.writeable = False
-    return MonomialIdeal(dim, h)
+    if h.ndim == 1:
+        box = (slice(drops.size - drops[::-1].argmax()),)
+    else:
+        box = tuple(slice(b) for b in np.argwhere(drops).max(axis=0) + 1)
+    h, drops = h[box], drops[box]
+    h.flags.writeable = drops.flags.writeable = False
+    return MonomialIdeal(dim, h, drops)
 
 
 def minimalize(dim, raw):
@@ -197,8 +207,7 @@ def minimalize(dim, raw):
     shape = _box(u[k - 1] + 1 for u, k in zip(axes, last))
     for ax, (u, k, n) in enumerate(zip(axes, last, shape)):
         h = h.take(np.searchsorted(u[:k], np.arange(n), side="right"), axis=ax)
-    h.flags.writeable = False
-    return MonomialIdeal(dim, h)
+    return _from_heights(dim, h)
 
 
 def unit_ideal(dim):
@@ -250,7 +259,7 @@ def colength(I):
 
 def nu(I):
     """Minimal number of generators: the cells where the staircase drops."""
-    return int(np.count_nonzero(_drops(I.heights)))
+    return int(np.count_nonzero(I.drops))
 
 
 def order(I):
@@ -264,16 +273,17 @@ def sum_ideals(I, J):
 
 
 def product(I, J):
-    """IJ: h(a) is the least h_I(a - g') + g_d over the generators g of J."""
+    """IJ: h(a) is the least h_I(a - g') + g_d over the generators g of J.  Past
+    its box at g', each placement is extended by the running minimum, as h_I is."""
     if I.dim != J.dim:
         raise ValueError("dimension mismatch")
-    shape = _box(np.add(I.heights.shape, J.heights.shape) - 1)
-    big = _fit(I.heights, shape)
-    out = np.full(shape, INF, dtype=np.int64)
+    h = I.heights
+    out = np.full(_box(np.add(h.shape, J.heights.shape) - 1), INF, dtype=np.int64)
     for g in J.gens:
-        at = tuple(slice(x, None) for x in g[:-1])
-        np.minimum(out[at], big[tuple(slice(n - x) for x, n in zip(g[:-1], shape))] + g[-1],
-                   out=out[at])
+        at = out[tuple(slice(x, x + n) for x, n in zip(g[:-1], h.shape))]
+        np.minimum(at, h + g[-1], out=at)
+    for ax in range(I.dim - 1):
+        np.minimum.accumulate(out, axis=ax, out=out)
     return _from_heights(I.dim, out)
 
 
@@ -360,21 +370,22 @@ def np_contains(NP, v):
                for normal, offset in NP.halfspaces)
 
 
-def _closure_heights(I, n):
-    """Heights of the integral closure of I^n (I m-primary): the least e with
-    <normal, (a, e)> >= n * offset on every facet of NP(I).  A facet with
-    normal_d = 0 has offset 0, as NP(I) meets every axis."""
+def _closure_heights(I, ns):
+    """Heights of the integral closures of I^n (I m-primary), a slice for each n
+    of the increasing ns over the box of the last: the least e with <normal,
+    (a, e)> >= n * offset on every facet of NP(I).  A facet with normal_d = 0
+    has offset 0, as NP(I) meets every axis, so a slice is 0 past its n's box."""
+    n = int(ns[-1])
     shape = _box(n * (s - 1) + 1 for s in I.heights.shape[:I.dim - 1])
+    ns = np.reshape(ns, (-1,) + (1,) * len(shape))
     axes = np.indices(shape, sparse=True)
-    out = np.zeros(shape, dtype=np.int64)
+    out = np.zeros((len(ns),) + shape, dtype=np.int64)
     for normal, offset in I.newton.halfspaces:
         if normal[-1] > 0:
             if n * offset + sum(w * s for w, s in zip(normal[:-1], shape)) >= INF:
                 raise MemoryError("closure staircase is over the int64 range")
-            rest = np.full(shape, n * offset, dtype=np.int64)
-            for w, ax in zip(normal[:-1], axes):
-                rest -= w * ax
-            np.maximum(out, -(-rest // normal[-1]), out=out)
+            lin = sum(w * ax for w, ax in zip(normal[:-1], axes))
+            np.maximum(out, -((lin - ns * offset) // normal[-1]), out=out)
     return out
 
 
@@ -384,21 +395,31 @@ def integral_closure(I, n=1):
         raise NotMPrimary("integral closure implemented for m-primary ideals")
     if n < 1:
         raise ValueError("n >= 1 required")
-    return _from_heights(I.dim, _closure_heights(I, n))
+    return _from_heights(I.dim, _closure_heights(I, [n])[0])
 
 
 def closure_data(I, nmax):
-    """(colength, nu) of the integral closure of I^n for n = 1..nmax."""
+    """(colength, nu) of the integral closure of I^n for n = 1..nmax: sums and
+    drop counts of tables over n, of at most TABLE_CELLS cells or one n's box."""
     pure_bounds(I)
-    closures = (_from_heights(I.dim, _closure_heights(I, n)) for n in range(1, nmax + 1))
-    return [(int(C.heights.sum()), nu(C)) for C in closures]
+    cells = prod(nmax * (s - 1) + 1 for s in I.heights.shape[:I.dim - 1])
+    step = max(1, min(TABLE_CELLS, GRID_CELL_CAP) // cells)
+    data = []
+    for first in range(1, nmax + 1, step):
+        table = _closure_heights(I, range(first, min(first + step, nmax + 1)))
+        if table[-1].flat[0] >= HEIGHT_CAP:  # the largest height of the table
+            raise MemoryError("staircase heights are over the cap")
+        axes = tuple(range(1, table.ndim))
+        data += zip(table.sum(axis=axes).tolist(),
+                    np.count_nonzero(_drops(table, 1), axis=axes).tolist())
+    return data
 
 
 def sample_integral_element(J, rng_seed):
     """A deterministic monomial integral over J but not in J."""
     if not is_m_primary(J):
         raise NotMPrimary("sampling requires an m-primary ideal")
-    cands = _between(_closure_heights(J, 1), J.heights, J.dim)
+    cands = _between(_closure_heights(J, [1])[0], J.heights, J.dim)
     if not cands:
         raise Exhausted("ideal is integrally closed")
     rng = random.Random(rng_seed)

@@ -266,12 +266,32 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
      ["check", "--theorem", "thm_2_2", "--bind", "J=Pp,I=msq"], 2),
     ({"ideals": {"Pp": PARAM_POLY}},
      ["check", "--theorem", "thm_2_2", "--bind", "J=msq,I=Pp"], 2),
+    # the unit ideal, in every form, is not an m-primary ideal
+    ({"ideals": {"u": {"ring": "P2", "form": "monomial", "data": [[0, 0]]}}},
+     ["coeffs", "--ideal", "u"], 2),
+    ({"ideals": {"u": {"ring": "H479", "form": "exponents", "data": [0, 11]}}},
+     ["coeffs", "--ideal", "u"], 2),
+    ({"ideals": {"u": {"ring": "P2", "form": "polynomials",
+                       "data": [[{"exp": [0, 0], "coef": 3}, {"exp": [1, 0], "coef": 1}],
+                                [{"exp": [0, 2], "coef": 1}]]}}},
+     ["coeffs", "--ideal", "u"], 2),
+    ({"ideals": {"u": {"ring": "P2", "form": "extend",
+                       "data": {"base": "msq", "extra": [[0, 0]]}}}},
+     ["check", "--theorem", "thm_3_1", "--bind", "I=u"], 2),
+    ({"ideals": {"u": {"ring": "H479", "form": "extend",
+                       "data": {"base": "Isg", "extra": [0]}}}},
+     ["check", "--theorem", "thm_3_1", "--bind", "I=u"], 2),
+    ({"ideals": {"u": {"ring": "P2", "form": "extend",
+                       "data": {"base": "Pp", "extra": [[0, 0]]}}, "Pp": PARAM_POLY}},
+     ["coeffs", "--ideal", "u"], 2),
 ], ids=["not_m_primary", "not_coprime", "normal_needs_monomial",
         "no_reduction_found", "negative_samples_poly", "negative_samples_semigroup",
         "gfp_homogeneous_not_m_primary",
         "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
         "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce",
-        "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i"])
+        "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i", "unit_monomial",
+        "unit_exponents", "unit_polynomials", "unit_extend_monomial",
+        "unit_extend_exponents", "unit_extend_polynomials"])
 def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     data = {key: {**INSTANCE_FILE[key], **extra.get(key, {})}
             for key in INSTANCE_FILE}
@@ -282,6 +302,16 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     err = capsys.readouterr().err
     assert err.startswith("input error:" if code == 2 else "limit error:")
     assert err.count("\n") == 1
+
+
+def test_heights_over_the_cap_exit_3(tmp_path, capsys):
+    # (x, y^(2^30 + 1)) is built, but the height 2^31 + 2 of its square is over the cap
+    data = {**INSTANCE_FILE, "ideals": {"big": {
+        "ring": "P2", "form": "monomial", "data": [[1, 0], [0, 2 ** 30 + 1]]}}}
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["coeffs", "--file", str(path), "--ideal", "big"]) == 3
+    assert capsys.readouterr().err == "limit error: staircase heights are over the cap\n"
 
 
 @pytest.mark.parametrize("ideal", ["Isg", "mpoly"])

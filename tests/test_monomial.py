@@ -3,8 +3,8 @@
 import copy
 import pickle
 import random
-from itertools import product as iproduct
-from math import gcd
+from itertools import count, product as iproduct
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -284,3 +284,90 @@ def test_engine_matches_divisibility_oracle(case):
         for seed in range(3):
             pick = integral[random.Random(seed).randrange(len(integral))]
             assert mo.sample_integral_element(I, seed) == pick
+
+
+# ------------------------------------------------------------ staircase invariants
+
+def nonincreasing(h):
+    return all((np.diff(h, axis=ax) <= 0).all() for ax in range(h.ndim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_pairs())
+def test_kernel_heights_are_nonincreasing_along_every_axis(case):
+    # _from_heights reads the largest height at the origin on this invariant
+    d, _, A, B = case
+    I, J = mo.minimalize(d, A), mo.minimalize(d, B)
+    results = [I, J, mo.sum_ideals(I, J), mo.product(I, J), mo.product(J, I),
+               mo.colon(J, I), mo.colon(I, J), mo.unit_ideal(d)]
+    if mo.is_m_primary(I):
+        results += [mo.integral_closure(I, n) for n in (1, 2, 3)]
+    for R in results:
+        assert nonincreasing(R.heights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_primary_ideals())
+def test_closure_table_matches_each_closure(case):
+    I, _ = case
+    closures = [mo.integral_closure(I, n) for n in range(1, 7)]
+    assert mo.closure_data(I, 6) == [(C.colength(), C.nu()) for C in closures]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_pairs())
+def test_kept_drop_mask_matches_fresh_builds(case):
+    d, _, A, B = case
+    I, J = mo.minimalize(d, A), mo.minimalize(d, B)
+    for R, raw in ((I, A), (mo.sum_ideals(I, J), A + B),
+                   (mo.product(I, J), [tuple(map(sum, zip(a, b))) for a in A for b in B])):
+        fresh = mo.minimalize(d, raw)
+        copied = pickle.loads(pickle.dumps(R))
+        for S in (fresh, copied, copy.deepcopy(R)):
+            assert (S.nu(), S.gens) == (R.nu(), R.gens)
+            assert np.array_equal(S.drops, R.drops) and not S.drops.flags.writeable
+
+
+# ------------------------------------------------------------ limits
+
+# y^(2^30 + 1) fits under HEIGHT_CAP, but its square y^(2^31 + 2) does not
+OVER_CAP_SQUARE = [(1, 0), (0, 2 ** 30 + 1)]
+
+
+def test_heights_over_the_cap_raise():
+    I = mo.minimalize(2, OVER_CAP_SQUARE)
+    for f in (lambda: mo.product(I, I), lambda: mo.integral_closure(I, 2),
+              lambda: mo.closure_data(I, 3)):
+        with pytest.raises(MemoryError, match="heights are over the cap"):
+            f()
+    assert mo.closure_data(I, 1) == [(2 ** 30 + 1, 2)]
+
+
+@pytest.mark.parametrize("raw", [[(3, 0), (1, 1), (0, 4)],
+                                 [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 0)]])
+@pytest.mark.parametrize("per_block", [1, 2])
+def test_closure_table_blocks_stay_under_the_cell_cap(monkeypatch, raw, per_block):
+    # the cap sits just above per_block boxes of n = nmax, so the table goes
+    # in blocks; the first n whose own box is over the cap still raises
+    I = mo.minimalize(len(raw[0]), raw)
+    nmax = 5
+
+    def cells(n):
+        return prod(n * (s - 1) + 1 for s in I.heights.shape[:I.dim - 1])
+
+    monkeypatch.setattr(mo, "GRID_CELL_CAP", per_block * cells(nmax) + 1)
+    closures = [mo.integral_closure(I, n) for n in range(1, nmax + 1)]
+    tables = []
+    heights = mo._closure_heights
+
+    def recorded(I, ns):
+        tables.append(heights(I, ns))
+        return tables[-1]
+
+    monkeypatch.setattr(mo, "_closure_heights", recorded)
+    assert mo.closure_data(I, nmax) == [(C.colength(), C.nu()) for C in closures]
+    assert sum(map(len, tables)) == nmax
+    assert max(t.size for t in tables) < mo.GRID_CELL_CAP
+    over = next(n for n in count(nmax) if cells(n) > mo.GRID_CELL_CAP)
+    with pytest.raises(MemoryError, match="cells is over the cap"):
+        mo.closure_data(I, over)
