@@ -6,6 +6,13 @@ violation that depends on a sampled object (a randomly generated minimal
 reduction, which an existence statement does not pin down) is downgraded to
 "unresolved"; only hypothesis-complete, sampling-free failures are reported
 as "violated".
+
+Checkers build no ideal just to measure it.  Every colon colength comes from
+invariants.colon_colength.  Three witness fields rest on theorems: e1_m = 0
+in the regular branch of cor_after_3_3 (oracle: test_maximal_ideal_power_coeffs);
+normalization's colength_Ibar, the n = 1 term that normal_coeffs fits; and
+rossi_valla's closure_differs_from_power, lam(R/Ibar) != C(s+d-1, d) for
+s = o(I) (oracle of both: test_closure_witnesses_match_integral_closure_oracle).
 """
 
 from dataclasses import dataclass, field
@@ -58,6 +65,13 @@ def _extra_generator_count(I, J):
     return sum(1 for g in I.gens if not J.member(g))
 
 
+def _enlargement(ctx, J, extra):
+    """I = J + (extra) with nu(I/J), red_J(I), lam(R/(J:I)) and f0(J)."""
+    I = J.extend(extra)
+    return (I, _extra_generator_count(I, J), invariants.reduction_number(ctx, J, I),
+            invariants.colon_colength(ctx, J, I), invariants.fiber_coeffs(ctx, J).f[0])
+
+
 def _is_gorenstein(ctx):
     if ctx.kind == "poly":
         return True
@@ -72,7 +86,7 @@ def check_thm_2_2(ctx, J, I):
     ]
     e0_j = invariants.hilbert_coeffs(ctx, J).e[0]
     e0_i = invariants.hilbert_coeffs(ctx, I).e[0]
-    lam = J.colon(I).colength()
+    lam = invariants.colon_colength(ctx, J, I)
     f0 = invariants.fiber_coeffs(ctx, J).f[0]
     witness = {"e0_J": e0_j, "e0_I": e0_i, "colon_colength": lam, "f0_J": f0}
     return _report("thm_2_2", hyps, e0_j - e0_i, lam * f0, witness)
@@ -84,12 +98,9 @@ def check_thm_2_3(ctx, J, h):
     hyps = [("h_integral_over_J", integral)]
     if not integral:
         return _report("thm_2_3", hyps, 0, 0, {"reason": "h not integral over J"})
-    I = J.extend([h])
+    I, _, red, lam, f0 = _enlargement(ctx, J, [h])
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
-    red = invariants.reduction_number(ctx, J, I)
-    lam = J.colon(I).colength()
-    f0 = invariants.fiber_coeffs(ctx, J).f[0]
     witness = {"e1_I": e1_i, "e1_J": e1_j, "red_J_I": red,
                "colon_colength": lam, "f0_J": f0, "h": list(h) if not isinstance(h, int) else h}
     return _report("thm_2_3", hyps, e1_i - e1_j, red * lam * f0, witness)
@@ -134,13 +145,9 @@ def check_thm_e1hs(ctx, J, extra):
              all(J.integral_over(h) for h in extra))]
     if not hyps[0][1]:
         return _report("thm_e1hs", hyps, 0, 0, {"reason": "non-integral extras"})
-    I = J.extend(extra)
-    m = _extra_generator_count(I, J)
-    s = invariants.reduction_number(ctx, J, I)
+    I, m, s, lam, f0 = _enlargement(ctx, J, extra)
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
-    lam = J.colon(I).colength()
-    f0 = invariants.fiber_coeffs(ctx, J).f[0]
     rhs = lam * (binom(m + s, s) - 1) * f0
     witness = {"e1_I": e1_i, "e1_J": e1_j, "m": m, "s": s,
                "colon_colength": lam, "f0_J": f0}
@@ -156,14 +163,10 @@ def check_prop_f0(ctx, J, extra):
              all(J.integral_over(h) for h in extra))]
     if not hyps[0][1]:
         return _report("prop_f0", hyps, 0, 0, {"reason": "non-integral extras"})
-    I = J.extend(extra)
-    m = _extra_generator_count(I, J)
-    s = invariants.reduction_number(ctx, J, I)
+    I, m, s, lam, f0_j = _enlargement(ctx, J, extra)
     f0_i = invariants.fiber_coeffs(ctx, I).f[0]
-    f0_j = invariants.fiber_coeffs(ctx, J).f[0]
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
-    lam = J.colon(I).colength()
     rhs = (1 + lam * (binom(m + s, s) - 1)) * f0_j
     intermediate = f0_i - f0_j <= e1_i - e1_j
     witness = {"f0_I": f0_i, "f0_J": f0_j, "e1_I": e1_i, "e1_J": e1_j,
@@ -284,17 +287,17 @@ def check_cor_after_3_3(ctx):
     """e1(m) <= lam(R/(Q:m)) * [C(nu(m)+lam(R/Q)d-3d+1, nu(m)-d) - 1]."""
     d = ctx.dim
     m = ctx.maximal_ideal()
-    e1_m = invariants.hilbert_coeffs(ctx, m).e[1]
     nu_m = m.nu()
     # in k[[t^H]] the monomial t^mult is one choice among minimal reductions
     sampled = ctx.kind == "semigroup"
-    if nu_m == d:  # regular (every poly context): m reduces itself, both sides vanish
-        rhs = 0
+    if nu_m == d:  # regular (every poly context): e(m) = (1, 0, ..., 0), m reduces itself
+        e1_m = rhs = 0
         witness = {"e1_m": e1_m, "nu_m": nu_m, "regular": True}
     else:
+        e1_m = invariants.hilbert_coeffs(ctx, m).e[1]
         Q = semigroup.ideal(ctx.numerical, [ctx.numerical.multiplicity])
         lam_q = Q.colength()
-        lam_colon = Q.colon(m).colength()
+        lam_colon = invariants.colon_colength(ctx, Q, m)
         rhs = lam_colon * (binom(nu_m + lam_q * d - 3 * d + 1, nu_m - d) - 1)
         witness = {"e1_m": e1_m, "nu_m": nu_m, "colength_Q": lam_q,
                    "colon_colength": lam_colon}
@@ -322,9 +325,8 @@ def check_normalization(ctx, I):
     e0 = invariants.hilbert_coeffs(ctx, I).e[0]
     f0 = invariants.fiber_coeffs(ctx, I).f[0]
     lam = I.colength()
-    _, fbar = invariants.normal_coeffs(ctx, I)
-    ibar = monomial.integral_closure(I)
-    lam_bar = ibar.colength()
+    ebar, fbar = invariants.normal_coeffs(ctx, I)
+    lam_bar = ebar.sequence.values[0]  # the n = 1 term: lam(R/Ibar)
     branch_adic = f0 * lam
     branch_normal = fbar.f[0] * lam_bar
     witness = {"e0": e0, "f0": f0, "colength_I": lam,
@@ -342,10 +344,9 @@ def check_intro_bounds(ctx, I):
     e0, e1 = hil.e[0], hil.e[1]
     nu_i = I.nu()
     lam = I.colength()
-    m = ctx.maximal_ideal()
     reports = []
     if d == 1:
-        is_max = I.equals(m)
+        is_max = I.equals(ctx.maximal_ideal())
         reports.append(_report(
             "kirby", [("I_is_maximal_ideal", is_max)], e1, binom(e0, 2),
             {"e0": e0, "e1": e1}))
@@ -355,12 +356,13 @@ def check_intro_bounds(ctx, I):
         {"e0": e0, "e1": e1, "nu": nu_i, "colength": lam}))
     if isinstance(I, monomial.MonomialIdeal):
         s = I.order()
-        ms = invariants.power(m, s)
-        distinct = monomial.integral_closure(I).gens != monomial.integral_closure(ms).gens
+        # I lies in m^s, integrally closed in a regular ring (Huneke-Swanson 2006), so
+        # Ibar does too, and equals m^s iff lam(R/Ibar) = lam(R/m^s) = C(s+d-1, d)
+        ebar, _ = invariants.normal_coeffs(ctx, I)
+        distinct = ebar.sequence.values[0] != binom(s + d - 1, d)
         reports.append(_report(
             "rossi_valla", [("closure_differs_from_power", distinct)],
             e1, binom(e0 - s, 2), {"e0": e0, "e1": e1, "order": s}))
-        ebar, _ = invariants.normal_coeffs(ctx, I)
         reports.append(_report(
             "e1bar_nonneg", [("analytically_unramified", True)],
             0, ebar.e[1], {"e1_bar": ebar.e[1]}))

@@ -209,7 +209,7 @@ def _battery_semigroup(inst):
         "e1_oracles_agree": e1_fit == e1_series,
     }
     if tuple(inst["H"]) == (2, 3):
-        lam_colon = Q.colon(I).colength()
+        lam_colon = invariants.colon_colength(ctx, Q, I)
         extra["e1_identity_lhs"] = e1_fit
         extra["e1_identity_rhs"] = lam_colon * (semigroup.nu(I) - 1)
         extra["e1_identity_ok"] = e1_fit == extra["e1_identity_rhs"]
@@ -241,7 +241,7 @@ def _battery_example_2_4(inst):
     mi = semigroup.product(m, I)
     mi_in_q = semigroup.contains_ideal(Q, mi)
     mm = bounds._extra_generator_count(I, Q)
-    lam_colon = Q.colon(I).colength()
+    lam_colon = invariants.colon_colength(ctx, Q, I)
     e1hs_rhs = lam_colon * (binom(mm + red, red) - 1)
     claims = {
         "mI_in_Q": {"engine": mi_in_q, "claimed": True,

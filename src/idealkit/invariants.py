@@ -167,11 +167,6 @@ def _power_walk(I):
         yield powers[n]
 
 
-def power(I, n):
-    """I^n, read from the open battery's walk of I when n >= 1."""
-    return next(islice(_power_walk(I), n - 1, None)) if n >= 1 else I.power(n)
-
-
 def _power_sequence(I, nmax, value):
     """value(I^n) for n = 1..nmax, e.g. lam(R/I^n) or nu(I^n)."""
     return binomfit.LengthSequence(1, tuple(map(value, islice(_power_walk(I), nmax))))
@@ -265,7 +260,8 @@ def colon_colength(ctx, Q, I):
     That needs a poly context, len(Q.gens) == d and a monomial I holding every
     term of Q's generators; anything else takes the engine's colon.  A
     semigroup ring need not be Gorenstein (<4,7,9> is not symmetric), so its
-    closed-form colon stays.
+    closed-form colon stays.  Every colon colength of the checkers and the
+    batteries comes through here.
     """
     if (ctx.kind == "poly" and len(Q.gens) == ctx.dim
             and isinstance(I, monomial.MonomialIdeal)

@@ -224,14 +224,14 @@ def is_m_primary(I):
 
 
 def pure_bounds(I):
-    """Least pure-power exponent on each axis; raises NotMPrimary."""
+    """Least pure-power exponent on each axis; raises NotMPrimary.  x_i^k is the
+    minimal generator with the largest a_i, so k is the last index of the box on
+    axis i and h is 0 at that corner; h is nonzero there when no x_i^k lies in I."""
     h, d = I.heights, I.dim
-    bounds = []
-    for i in range(d - 1):
-        axis = h[(0,) * i + (slice(None),) + (0,) * (d - 2 - i)]
-        if axis[-1]:
+    bounds = [n - 1 for n in h.shape[:d - 1]]
+    for i, k in enumerate(bounds):
+        if h[(0,) * i + (k,) + (0,) * (d - 2 - i)]:
             raise NotMPrimary(f"no pure power of variable {i}")
-        bounds.append(int(np.count_nonzero(axis)))
     if h.flat[0] == INF:
         raise NotMPrimary(f"no pure power of variable {d - 1}")
     return (*bounds, int(h.flat[0]))

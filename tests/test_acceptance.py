@@ -12,6 +12,7 @@ import time
 
 from idealkit import binomfit as bf
 from idealkit import bounds as bd
+from idealkit import cli
 from idealkit import groebner as gb
 from idealkit import instances as ins
 from idealkit import invariants as iv
@@ -34,18 +35,23 @@ D3_RECORDS_SHA256 = "ef981c5c810b9708d24fac67ed6a383c739bca8c37f5bd7c45fd60f55b9
 # the same over the records of `sweep --family e0Ih --count 40`, whose
 # reductions Q are GF(p) polynomial ideals and whose I are monomial
 E0IH_RECORDS_SHA256 = "31d7e98cc4eccfc0e20d61da94d2f427b162503c51b8d61b0bb8f5e758664fd7"
+# SHA-256 of the whole sweep JSON as `idealkit sweep --json` writes it (cli._emit)
+# for the same two sweeps: a digest of the bytes that `cmp` compares
+D2_SWEEP_SHA256 = "03da5b1ba3a11bf1b284ea41cbad9731f2bfafc5a5815489b294896f27dcb151"
+D3_SWEEP_SHA256 = "bc84f631653498dbc48ed99ecb7b9e609f0fd47f90c83d292334c45fcf70965b"
+
+
+def _sweeps():
+    """{d: sweep payload} of the two acceptance sweeps, computed once."""
+    if not _SWEEP_CACHE:
+        for d, seed in ((2, 11), (3, 12)):
+            _SWEEP_CACHE[d] = ins.sweep(f"random_monomial_d{d}", count=100, seed=seed)
+    return _SWEEP_CACHE
 
 
 def _sweep_200():
     """Shared 200-instance sweep used by criteria 5 and 6."""
-    key = "d2d3"
-    if key not in _SWEEP_CACHE:
-        records = []
-        for d, count, seed in ((2, 100, 11), (3, 100, 12)):
-            sw = ins.sweep(f"random_monomial_d{d}", count=count, seed=seed)
-            records.extend(sw["instances"])
-        _SWEEP_CACHE[key] = records
-    return _SWEEP_CACHE[key]
+    return [rec for sw in _sweeps().values() for rec in sw["instances"]]
 
 
 def test_acceptance_1_cube_example_strict():
@@ -165,6 +171,34 @@ def test_acceptance_5_theorem_sweep_200():
     counts = {tid: agg[tid]["verified"] for tid in watched}
     _ok(5, f"200 instances, zero violated/unresolved on {counts} "
            f"({elapsed:.2f}s)")
+
+
+def test_acceptance_sweep_json_digests(tmp_path):
+    for d, digest in ((2, D2_SWEEP_SHA256), (3, D3_SWEEP_SHA256)):
+        path = tmp_path / f"d{d}.json"
+        cli._emit(_sweeps()[d], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, d
+
+
+def test_closure_witnesses_match_integral_closure_oracle():
+    """normalization's colength_Ibar and rossi_valla's closure_differs_from_power
+    are read off the normal filtration and a binomial; both against closures."""
+    seen = set()
+    for d, count in ((2, 100), (3, 30)):
+        m = iv.poly_context(d).maximal_ideal()
+        for rec in _sweeps()[d]["instances"]:
+            inst = rec["instance"]
+            if int(inst["id"].rsplit("-", 1)[1]) >= count:
+                continue
+            I = mo.minimalize(d, [tuple(g) for g in inst["J"] + inst["extras"]])
+            Ibar = mo.integral_closure(I)
+            distinct = Ibar != mo.integral_closure(mo.power(m, I.order()))
+            reports = {r["theorem_id"]: r for r in rec["reports"]}
+            assert reports["normalization"]["witness"]["colength_Ibar"] == Ibar.colength()
+            assert reports["rossi_valla"]["hypotheses"] == [["closure_differs_from_power",
+                                                            distinct]], inst["id"]
+            seen.add(distinct)
+    assert seen == {True, False}
 
 
 def test_acceptance_6_reduction_bounds():

@@ -33,11 +33,12 @@ def _e0ih_reduction(a, b, c, h, p):
 
 
 def _colon_by_linkage(monkeypatch, ctx, Q, I):
-    """iv.colon_colength(ctx, Q, I), failing if it builds a GF(p) colon."""
+    """iv.colon_colength(ctx, Q, I), failing if it builds a colon ideal."""
     def no_colon(*args):
         raise AssertionError("linkage should need no colon ideal")
     with monkeypatch.context() as patch:
         patch.setattr(gb, "colon_ideal", no_colon)
+        patch.setattr(mo, "colon", no_colon)
         return iv.colon_colength(ctx, Q, I)
 
 
@@ -58,6 +59,17 @@ def test_colon_colength_by_linkage_matches_e0ih_colons(monkeypatch):
         Q = _e0ih_reduction(a, b, c, tuple(h), ctx.char_p)
         lam = _colon_by_linkage(monkeypatch, ctx, Q, I)
         assert lam == gb.colon_ideal(Q, iv.to_groebner(ctx, I)).colength(), (a, b, c, h)
+
+
+def test_colon_colength_by_linkage_matches_monomial_colons_on_e0ih_grid(monkeypatch):
+    """thm_2_2's lam(R/(J:I)) for J = (x^a, y^b, z^c) on every e0Ih grid point."""
+    ctx = iv.poly_context(3)
+    for inst in family_e0Ih():
+        a, b, c, *h = inst["params"]
+        J = mo.minimalize(3, [(a, 0, 0), (0, b, 0), (0, 0, c)])
+        I = J.extend([tuple(h)])
+        lam = _colon_by_linkage(monkeypatch, ctx, J, I)
+        assert lam == mo.colon(J, I).colength(), inst["id"]
 
 
 def test_colon_colength_by_linkage_on_sampled_gfp_q(monkeypatch):

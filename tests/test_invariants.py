@@ -37,11 +37,18 @@ def test_maximal_ideal_is_canonical(d):
     assert hash(m) == hash(M) and m.descriptor() == M.descriptor()
 
 
-def test_maximal_ideal_power_coeffs(ctx2):
-    m = ctx2.maximal_ideal()
-    for n in range(2, 6):
-        hil = iv.hilbert_coeffs(ctx2, mo.power(m, n))
-        assert hil.e == (n * n, n * (n - 1) // 2, 0)
+def test_maximal_ideal_power_coeffs():
+    """e(m^n) from lam(R/m^(nk)) = C(nk+d-1, d); at n = 1 it is (1, 0, ..., 0),
+    the e(m) that check_cor_after_3_3 states for a regular ring."""
+    closed_forms = {1: lambda n: (n, 0),
+                    2: lambda n: (n * n, n * (n - 1) // 2, 0),
+                    3: lambda n: (n ** 3, n * n * (n - 1), n * (n - 1) * (n - 2) // 6, 0)}
+    for d, e in closed_forms.items():
+        ctx = iv.poly_context(d)
+        m = ctx.maximal_ideal()
+        assert bounds.check_cor_after_3_3(ctx).witness["e1_m"] == e(1)[1] == 0
+        for n in range(1, 6):
+            assert iv.hilbert_coeffs(ctx, mo.power(m, n)).e == e(n), (d, n)
 
 
 def test_parameter_ideal_e1_vanishes():
