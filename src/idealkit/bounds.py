@@ -7,9 +7,13 @@ reduction, which an existence statement does not pin down) is downgraded to
 "unresolved"; only hypothesis-complete, sampling-free failures are reported
 as "violated".
 
-Checkers build no ideal just to measure it.  Every colon colength comes from
-invariants.colon_colength.  Three witness fields rest on theorems: e1_m = 0
-in the regular branch of cor_after_3_3 (oracle: test_maximal_ideal_power_coeffs);
+A checker takes the ring and the ideals it bounds and builds none from
+generators: an enlargement I of J comes whole, the generators it adds are read
+off I by added_generators, and cor_after_3_3 takes its reduction of m from
+invariants.principal_reduction.  Nor does a checker build an ideal just
+to measure it: every colon colength comes from invariants.colon_colength.
+Three witness fields rest on theorems: e1_m = 0 in the regular branch of
+cor_after_3_3 (oracle: test_maximal_ideal_power_coeffs);
 normalization's colength_Ibar, the n = 1 term that normal_coeffs fits; and
 rossi_valla's closure_differs_from_power, lam(R/Ibar) != C(s+d-1, d) for
 s = o(I) (oracle of both: test_closure_witnesses_match_integral_closure_oracle).
@@ -60,16 +64,15 @@ def _report(theorem_id, hyps, lhs, rhs, witness, sampled=False, extra_ok=True):
     return BoundReport(theorem_id, hyps, lhs, rhs, holds, rhs - lhs, witness, status)
 
 
-def _extra_generator_count(I, J):
-    """nu(I/J): minimal generators of I that J does not already provide."""
-    return sum(1 for g in I.gens if not J.member(g))
+def added_generators(J, I):
+    """The minimal generators of I that J does not contain: nu(I/J) of them."""
+    return tuple(g for g in I.gens if not J.member(g))
 
 
-def _enlargement(ctx, J, extra):
-    """I = J + (extra) with nu(I/J), red_J(I), lam(R/(J:I)) and f0(J)."""
-    I = J.extend(extra)
-    return (I, _extra_generator_count(I, J), invariants.reduction_number(ctx, J, I),
-            invariants.colon_colength(ctx, J, I), invariants.fiber_coeffs(ctx, J).f[0])
+def _enlargement(ctx, J, I):
+    """red_J(I), lam(R/(J:I)) and f0(J) for an enlargement I of J."""
+    return (invariants.reduction_number(ctx, J, I), invariants.colon_colength(ctx, J, I),
+            invariants.fiber_coeffs(ctx, J).f[0])
 
 
 def _is_gorenstein(ctx):
@@ -82,7 +85,7 @@ def check_thm_2_2(ctx, J, I):
     """e0(J) - e0(I) <= lam(R/(J:I)) * f0(J), for I = J plus one generator."""
     hyps = [
         ("J_subset_I", I.contains_ideal(J)),
-        ("one_extra_generator", _extra_generator_count(I, J) <= 1),
+        ("one_extra_generator", len(added_generators(J, I)) <= 1),
     ]
     e0_j = invariants.hilbert_coeffs(ctx, J).e[0]
     e0_i = invariants.hilbert_coeffs(ctx, I).e[0]
@@ -92,17 +95,17 @@ def check_thm_2_2(ctx, J, I):
     return _report("thm_2_2", hyps, e0_j - e0_i, lam * f0, witness)
 
 
-def check_thm_2_3(ctx, J, h):
-    """e1(I) - e1(J) <= red_J(I) * lam(R/(J:I)) * f0(J) for I = (J, h)."""
-    integral = J.integral_over(h)
-    hyps = [("h_integral_over_J", integral)]
-    if not integral:
+def check_thm_2_3(ctx, J, I):
+    """e1(I) - e1(J) <= red_J(I) * lam(R/(J:I)) * f0(J) for I = (J, h), h in Jbar."""
+    added = added_generators(J, I)
+    hyps = [("h_integral_over_J", len(added) == 1 and J.integral_over(added[0]))]
+    if not hyps[0][1]:
         return _report("thm_2_3", hyps, 0, 0, {"reason": "h not integral over J"})
-    I, _, red, lam, f0 = _enlargement(ctx, J, [h])
+    red, lam, f0 = _enlargement(ctx, J, I)
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
     witness = {"e1_I": e1_i, "e1_J": e1_j, "red_J_I": red,
-               "colon_colength": lam, "f0_J": f0, "h": list(h) if not isinstance(h, int) else h}
+               "colon_colength": lam, "f0_J": f0, "h": added[0]}
     return _report("thm_2_3", hyps, e1_i - e1_j, red * lam * f0, witness)
 
 
@@ -135,17 +138,18 @@ def check_cor_e1para(ctx, Q, I):
                    extra_ok=identity_ok)
 
 
-def check_thm_e1hs(ctx, J, extra):
+def check_thm_e1hs(ctx, J, I):
     """e1(I) - e1(J) <= lam(R/(J:I)) * [C(m+s, s) - 1] * f0(J).
 
-    extra is a list of generators integral over J; m counts those that J
-    does not already contain, s is the exact reduction number red_J(I).
+    I lies between J and Jbar; m counts the generators that I adds to J, s is
+    the exact reduction number red_J(I).
     """
-    hyps = [("extras_integral_over_J",
-             all(J.integral_over(h) for h in extra))]
+    added = added_generators(J, I)
+    hyps = [("extras_integral_over_J", all(J.integral_over(h) for h in added))]
     if not hyps[0][1]:
         return _report("thm_e1hs", hyps, 0, 0, {"reason": "non-integral extras"})
-    I, m, s, lam, f0 = _enlargement(ctx, J, extra)
+    m = len(added)
+    s, lam, f0 = _enlargement(ctx, J, I)
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
     rhs = lam * (binom(m + s, s) - 1) * f0
@@ -154,16 +158,17 @@ def check_thm_e1hs(ctx, J, extra):
     return _report("thm_e1hs", hyps, e1_i - e1_j, rhs, witness)
 
 
-def check_prop_f0(ctx, J, extra):
-    """f0(I) <= (1 + lam(R/(J:I)) * [C(m+s,s) - 1]) * f0(J).
+def check_prop_f0(ctx, J, I):
+    """f0(I) <= (1 + lam(R/(J:I)) * [C(m+s,s) - 1]) * f0(J), J <= I <= Jbar.
 
     Also verifies the intermediate step f0(I) - f0(J) <= e1(I) - e1(J).
     """
-    hyps = [("extras_integral_over_J",
-             all(J.integral_over(h) for h in extra))]
+    added = added_generators(J, I)
+    hyps = [("extras_integral_over_J", all(J.integral_over(h) for h in added))]
     if not hyps[0][1]:
         return _report("prop_f0", hyps, 0, 0, {"reason": "non-integral extras"})
-    I, m, s, lam, f0_j = _enlargement(ctx, J, extra)
+    m = len(added)
+    s, lam, f0_j = _enlargement(ctx, J, I)
     f0_i = invariants.fiber_coeffs(ctx, I).f[0]
     e1_i = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_j = invariants.hilbert_coeffs(ctx, J).e[1]
@@ -247,16 +252,14 @@ def check_thm_3_1(ctx, I, seed=0, samples=invariants.SAMPLE_COUNT):
                    sampled=True)
 
 
-def check_lemma_3_2(ctx, x_exp, I):
-    """nu(I) <= lam(R/(x)) for a parameter x = t^x_exp in a dim-1 semigroup ring."""
+def check_lemma_3_2(ctx, Q, I):
+    """nu(I) <= lam(R/Q) for a parameter ideal Q = (x) in a dim-1 semigroup ring."""
     if ctx.kind != "semigroup":
         raise ValueError("lemma 3.2 checker is one-dimensional")
-    H = ctx.numerical
-    hyps = [("x_in_semigroup", H.contains(x_exp) and x_exp > 0)]
-    X = semigroup.ideal(H, [x_exp])
-    lam_x = X.colength()
+    hyps = [("x_in_semigroup", len(Q.gens) == 1 and not Q.member(0))]
+    lam_x = Q.colength()
     nu_i = I.nu()
-    s = X.order()
+    s = Q.order()
     witness = {"nu_I": nu_i, "colength_x": lam_x, "order_x": s,
                "cm_refinement_rhs": (lam_x * nu_i) // max(s, 1)}
     return _report("lemma_3_2", hyps, nu_i, lam_x, witness)
@@ -295,7 +298,7 @@ def check_cor_after_3_3(ctx):
         witness = {"e1_m": e1_m, "nu_m": nu_m, "regular": True}
     else:
         e1_m = invariants.hilbert_coeffs(ctx, m).e[1]
-        Q = semigroup.ideal(ctx.numerical, [ctx.numerical.multiplicity])
+        Q = invariants.principal_reduction(ctx, m)  # (t^mult)
         lam_q = Q.colength()
         lam_colon = invariants.colon_colength(ctx, Q, m)
         rhs = lam_colon * (binom(nu_m + lam_q * d - 3 * d + 1, nu_m - d) - 1)

@@ -154,13 +154,13 @@ def cmd_coeffs(args):
 
 CHECKERS = {
     "thm_2_2": (bounds.check_thm_2_2, ("J", "I")),
-    "thm_2_3": (bounds.check_thm_2_3, ("J", "h")),
+    "thm_2_3": (bounds.check_thm_2_3, ("J", "I")),
     "cor_e1para": (bounds.check_cor_e1para, ("Q", "I")),
-    "thm_e1hs": (bounds.check_thm_e1hs, ("J", "extra")),
-    "prop_f0": (bounds.check_prop_f0, ("J", "extra")),
+    "thm_e1hs": (bounds.check_thm_e1hs, ("J", "I")),
+    "prop_f0": (bounds.check_prop_f0, ("J", "I")),
     "cor_sally": (bounds.check_cor_sally, ("Q", "I")),
     "thm_3_1": (bounds.check_thm_3_1, ("I",)),
-    "lemma_3_2": (bounds.check_lemma_3_2, ("x", "I")),
+    "lemma_3_2": (bounds.check_lemma_3_2, ("Q", "I")),
     "thm_3_3": (bounds.check_thm_3_3, ("I",)),
     "cor_after_3_3": (bounds.check_cor_after_3_3, ()),
     "rossi": (bounds.check_rossi, ("Q", "I")),
@@ -193,20 +193,11 @@ def cmd_check(args):
     for p in params:
         if p not in binds:
             raise InputError(f"theorem {args.theorem} needs binding {p}=...")
-        v = binds[p]
-        if p == "x":
-            call.append(int(v))
-        elif p == "h":
-            if ":" in v:
-                call.append(tuple(int(t) for t in v.split(":")))
-            else:
-                call.append(int(v))
-        else:
-            c, ideal_obj = _resolve_ideal(data, rings, ideals, v)
-            if ctx not in (None, c):
-                raise InputError(f"ideal {v!r} is not in the ring of the ideals before it")
-            ctx = c
-            call.append(list(ideal_obj.gens) if p == "extra" else ideal_obj)
+        c, ideal_obj = _resolve_ideal(data, rings, ideals, binds[p])
+        if ctx not in (None, c):
+            raise InputError(f"ideal {binds[p]!r} is not in the ring of the ideals before it")
+        ctx = c
+        call.append(ideal_obj)
     if ctx is None:
         ring_name = binds.get("ring") or next(iter(rings), None)
         if ring_name is None:

@@ -274,9 +274,6 @@ class GroebnerIdeal:
     def product(self, other):
         return ideal_product(self, other)
 
-    def power(self, n):
-        return ideal_power(self, n)
-
     def colon(self, other):
         return colon_ideal(self, self._lift(other))
 

@@ -172,11 +172,12 @@ def _battery_random_monomial(inst):
     seed = inst["seed"]
     reports = []
     if extras:
-        I = J.extend(extras)
-        reports.append(bounds.check_thm_2_2(ctx, J, J.extend(extras[:1])))
-        reports.append(bounds.check_thm_2_3(ctx, J, extras[0]))
-        reports.append(bounds.check_thm_e1hs(ctx, J, extras))
-        reports.append(bounds.check_prop_f0(ctx, J, extras))
+        Ih = J.extend(extras[:1])
+        I = J.extend(extras) if len(extras) > 1 else Ih
+        reports.append(bounds.check_thm_2_2(ctx, J, Ih))
+        reports.append(bounds.check_thm_2_3(ctx, J, Ih))
+        reports.append(bounds.check_thm_e1hs(ctx, J, I))
+        reports.append(bounds.check_prop_f0(ctx, J, I))
     else:
         I = J
     reports.append(bounds.check_normalization(ctx, I))
@@ -198,7 +199,7 @@ def _battery_semigroup(inst):
     H = semigroup.semigroup(inst["H"])
     ctx = invariants.semigroup_context(H)
     I = semigroup.ideal(H, inst["I"])
-    Q = semigroup.ideal(H, [min(I.gens)])
+    Q = invariants.principal_reduction(ctx, I)
     red = invariants.reduction_number(ctx, Q, I)
     e1_fit = invariants.hilbert_coeffs(ctx, I).e[1]
     e1_series = invariants.e1_series_check(ctx, Q, I)
@@ -219,7 +220,7 @@ def _battery_semigroup(inst):
         bounds.check_thm_3_1(ctx, I, seed=inst["seed"]),
         bounds.check_thm_3_3(ctx, I, seed=inst["seed"]),
         bounds.check_cor_after_3_3(ctx),
-        bounds.check_lemma_3_2(ctx, min(Q.gens), I),
+        bounds.check_lemma_3_2(ctx, Q, I),
     ]
     reports.extend(bounds.check_intro_bounds(ctx, ctx.maximal_ideal()))
     return reports, extra
@@ -240,7 +241,7 @@ def _battery_example_2_4(inst):
     lam_iq = semigroup.rel_length(I, Q)
     mi = semigroup.product(m, I)
     mi_in_q = semigroup.contains_ideal(Q, mi)
-    mm = bounds._extra_generator_count(I, Q)
+    mm = len(bounds.added_generators(Q, I))
     lam_colon = invariants.colon_colength(ctx, Q, I)
     e1hs_rhs = lam_colon * (binom(mm + red, red) - 1)
     claims = {

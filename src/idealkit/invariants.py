@@ -9,7 +9,7 @@ reductions and related integers.  Everything is exact.
 
 The ideal protocol: monomial.MonomialIdeal, semigroup.SemigroupIdeal and
 groebner.GroebnerIdeal all have the methods colength() (local for GF(p)),
-nu(), order(), product(J), power(n), colon(J) = (I : J), contains_ideal(J)
+nu(), order(), product(J), colon(J) = (I : J), contains_ideal(J)
 (J in I), equals(J), member(g) (the monomial g lies in I), integral_over(g),
 extend(extra) (I plus the monomials in extra) and descriptor() (generators as
 JSON-ready nested tuples).  A GF(p) ideal raises TypeError for nu, order and
@@ -328,12 +328,17 @@ def _least_full_rank(samples, p, I, cap):
     raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
 
 
+def principal_reduction(ctx, I):
+    """(t^e) for the least element e of an ideal I of k[[t^H]]: a minimal
+    reduction of I."""
+    return semigroup.ideal(ctx.numerical, [min(I.floors)])
+
+
 def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
     """A d-generated reduction with the best reduction number over samples:
     the first with the least, all tested together for a monomial I."""
     if ctx.kind == "semigroup":
-        e = min(I.gens)
-        Q = semigroup.ideal(ctx.numerical, [e])
+        Q = principal_reduction(ctx, I)
         s = reduction_number(ctx, Q, I)
         return ReductionReport(Q, s, True, 1, True)
     d = ctx.dim

@@ -109,9 +109,6 @@ class MonomialIdeal:
     def product(self, other):
         return product(self, other)
 
-    def power(self, n):
-        return power(self, n)
-
     def colon(self, other):
         return colon(self, other)
 

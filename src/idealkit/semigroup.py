@@ -109,9 +109,6 @@ class SemigroupIdeal:
     def product(self, other):
         return product(self, other)
 
-    def power(self, n):
-        return power(self, n)
-
     def colon(self, other):
         return colon(self, other)
 
@@ -164,17 +161,6 @@ def product(E, F):
     return SemigroupIdeal(E.ambient, tuple(
         min(a + F.floors[(r - i) % m] for i, a in enumerate(E.floors))
         for r in range(m)))
-
-
-def power(E, n):
-    if n < 0:
-        raise ValueError("negative power")
-    if n == 0:
-        return SemigroupIdeal(E.ambient, E.ambient.apery)
-    result = E
-    for _ in range(n - 1):
-        result = product(result, E)
-    return result
 
 
 def nu(E):

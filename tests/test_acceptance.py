@@ -39,6 +39,22 @@ E0IH_RECORDS_SHA256 = "31d7e98cc4eccfc0e20d61da94d2f427b162503c51b8d61b0bb8f5e75
 # for the same two sweeps: a digest of the bytes that `cmp` compares
 D2_SWEEP_SHA256 = "03da5b1ba3a11bf1b284ea41cbad9731f2bfafc5a5815489b294896f27dcb151"
 D3_SWEEP_SHA256 = "bc84f631653498dbc48ed99ecb7b9e609f0fd47f90c83d292334c45fcf70965b"
+# the same for the other two families that batteries bind by hand: default-size
+# `sweep --family semigroup_small --seed s` for s = 13..22 (seeds 13, 16, 17 and
+# 18 hold the known cor_e1para violation), then `sweep --family example_2_4`
+SWEEP_SHA256 = {
+    ("semigroup_small", 13): "4a8463111874d86e8bb3e6668e996c960e59a447d31699444a8c9caf8dd5ef8d",
+    ("semigroup_small", 14): "bee246bb8bd89b4f929060d7a242981b186a83f77d01fad1ee83def3acf59370",
+    ("semigroup_small", 15): "c881009476c7eba78f5a53daae84eced236e67324564822da57a2af307d6b79d",
+    ("semigroup_small", 16): "42b68877c468469787fe9ca046c5571378b862ed5978a82dae46a047e2af4e24",
+    ("semigroup_small", 17): "7d426ea5e4778450e9768c77fd721b74125574cfa0239984675a55fff64f317e",
+    ("semigroup_small", 18): "7a31100e300ff4efdd80b2143ef805abc658716c51b6c09cd5d7b637a861abee",
+    ("semigroup_small", 19): "d202426e0c14bd5210db89b50f34139787a918d13aa3de71ab1c5b545066336e",
+    ("semigroup_small", 20): "d31bb748281126174a941adbb13564de89041f9bc6498e73517bc3b491941f47",
+    ("semigroup_small", 21): "c4d91914f359e4e5bf4b32811ad523663eb82ff53faba8eb11b4f8419601d5f9",
+    ("semigroup_small", 22): "222b3eb39a52bfb2a7df015f4b5acc1220ad374643b988979ab943f4d4b4943a",
+    ("example_2_4", 0): "014f073009e20cfe1fde8b86713758e59e8a570f6ddeb5750e4335ac1b3bfad7",
+}
 
 
 def _sweeps():
@@ -178,6 +194,13 @@ def test_acceptance_sweep_json_digests(tmp_path):
         path = tmp_path / f"d{d}.json"
         cli._emit(_sweeps()[d], path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, d
+
+
+def test_semigroup_and_example_sweep_json_digests(tmp_path):
+    path = tmp_path / "sweep.json"
+    for (family, seed), digest in SWEEP_SHA256.items():
+        cli._emit(ins.sweep(family, seed=seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (family, seed)
 
 
 def test_closure_witnesses_match_integral_closure_oracle():

@@ -4,6 +4,7 @@ import pytest
 
 from idealkit import bounds as bd
 from idealkit import groebner as gb
+from idealkit import instances as ins
 from idealkit import invariants as iv
 from idealkit import monomial as mo
 from idealkit import semigroup as sg
@@ -38,7 +39,7 @@ def test_thm_2_2_trivial_equal_ideals(ctx2, msq):
 
 def test_thm_2_3_diagonal(ctx2):
     J = mo.minimalize(2, [(2, 0), (0, 2)])
-    rep = bd.check_thm_2_3(ctx2, J, (1, 1))
+    rep = bd.check_thm_2_3(ctx2, J, J.extend([(1, 1)]))
     assert rep.status == "verified"
     assert (rep.lhs, rep.rhs) == (1, 1)
     assert rep.witness["red_J_I"] == 1
@@ -47,7 +48,24 @@ def test_thm_2_3_diagonal(ctx2):
 
 def test_thm_2_3_skips_non_integral(ctx2):
     J = mo.minimalize(2, [(3, 0), (0, 3)])
-    rep = bd.check_thm_2_3(ctx2, J, (1, 1))
+    rep = bd.check_thm_2_3(ctx2, J, J.extend([(1, 1)]))
+    assert rep.status == "skipped"
+    assert rep.hypotheses == (("h_integral_over_J", False),)
+
+
+def test_thm_2_3_skips_two_added_generators(ctx2):
+    # x^3y and xy^3 both lie in the closure of (x^4, y^4), but I = (J, h) has one h
+    J = mo.minimalize(2, [(4, 0), (0, 4)])
+    I = J.extend([(3, 1), (1, 3)])
+    assert bd.added_generators(J, I) == ((1, 3), (3, 1))
+    rep = bd.check_thm_2_3(ctx2, J, I)
+    assert rep.status == "skipped"
+    assert rep.hypotheses == (("h_integral_over_J", False),)
+
+
+def test_thm_2_3_skips_no_added_generator(ctx2):
+    J = mo.minimalize(2, [(2, 0), (0, 2)])
+    rep = bd.check_thm_2_3(ctx2, J, J)
     assert rep.status == "skipped"
     assert rep.hypotheses == (("h_integral_over_J", False),)
 
@@ -64,17 +82,43 @@ def test_cor_e1para_gorenstein_identity(ctx2, msq):
 def test_thm_e1hs_single_generator_matches_thm_2_3(ctx2):
     # with one extra generator, C(1+s, s) - 1 = s: identical right-hand sides
     J = mo.minimalize(2, [(2, 0), (0, 2)])
-    r1 = bd.check_thm_2_3(ctx2, J, (1, 1))
-    r2 = bd.check_thm_e1hs(ctx2, J, [(1, 1)])
+    r1 = bd.check_thm_2_3(ctx2, J, J.extend([(1, 1)]))
+    r2 = bd.check_thm_e1hs(ctx2, J, J.extend([(1, 1)]))
     assert r1.rhs == r2.rhs
     assert r2.status == "verified"
 
 
 def test_prop_f0_with_intermediate(ctx2):
     J = mo.minimalize(2, [(2, 0), (0, 2)])
-    rep = bd.check_prop_f0(ctx2, J, [(1, 1)])
+    rep = bd.check_prop_f0(ctx2, J, J.extend([(1, 1)]))
     assert rep.status == "verified"
     assert rep.witness["intermediate_f0_le_e1_ok"]
+
+
+def test_thm_e1hs_counts_only_generators_outside_j(ctx2):
+    # x^2y already lies in J, so I adds one generator, xy
+    J = mo.minimalize(2, [(2, 0), (0, 2)])
+    rep = bd.check_thm_e1hs(ctx2, J, J.extend([(1, 1), (2, 1)]))
+    assert rep.status == "verified"
+    assert rep.witness["m"] == 1
+    assert rep.rhs == bd.check_thm_e1hs(ctx2, J, J.extend([(1, 1)])).rhs
+
+
+def test_battery_builds_each_enlargement_once(monkeypatch):
+    insts = ins.make_family("random_monomial_d2", 100, 11)
+    calls = []
+    extend = mo.MonomialIdeal.extend
+
+    def counted(self, extra):
+        calls.append(extra)
+        return extend(self, extra)
+
+    monkeypatch.setattr(mo.MonomialIdeal, "extend", counted)
+    for inst in insts:
+        ins.run_battery(inst)
+    # J + (h) always, and J + (extras) once more when there are two extras
+    assert len(calls) == (sum(1 for i in insts if i["extras"])
+                          + sum(1 for i in insts if len(i["extras"]) == 2))
 
 
 def test_cor_sally(ctx2, msq):
@@ -116,11 +160,11 @@ def test_lemma_3_2():
     H = sg.semigroup([4, 7, 9])
     ctx = iv.semigroup_context(H)
     I = sg.ideal(H, [11, 14])
-    rep = bd.check_lemma_3_2(ctx, 11, I)
+    rep = bd.check_lemma_3_2(ctx, sg.ideal(H, [11]), I)
     assert rep.status == "verified"
     assert (rep.lhs, rep.rhs) == (2, 11)
     m = sg.maximal_ideal(H)
-    rep = bd.check_lemma_3_2(ctx, 4, m)
+    rep = bd.check_lemma_3_2(ctx, sg.ideal(H, [4]), m)
     assert rep.lhs <= 4  # embedding dimension at most multiplicity
 
 

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit import cli, instances
+from idealkit import cli, instances, invariants, monomial
 
 
 INSTANCE_FILE = {
@@ -26,6 +26,7 @@ INSTANCE_FILE = {
         "I7": {"ring": "P3", "form": "extend",
                "data": {"base": "J7", "extra": [[2, 2, 2]]}},
         "Isg": {"ring": "H479", "form": "exponents", "data": [11, 14]},
+        "Qsg": {"ring": "H479", "form": "exponents", "data": [11]},
     },
 }
 
@@ -69,6 +70,35 @@ def test_check_thm_2_2(instance_path, capsys):
     report = payload["reports"][0]
     assert report["status"] == "verified"
     assert (report["lhs"], report["rhs"]) == (49, 125)
+
+
+@pytest.mark.parametrize("theorem", ["thm_2_3", "thm_e1hs", "prop_f0"])
+def test_check_enlargement_binds_j_and_i(instance_path, capsys, theorem):
+    ctx = invariants.poly_context(2)
+    J = monomial.minimalize(2, [(2, 0), (0, 2)])
+    I = monomial.minimalize(2, [(2, 0), (1, 1), (0, 2)])
+    rc = cli.main(["check", "--file", instance_path, "--theorem", theorem,
+                   "--bind", "J=param,I=msq"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report == json.loads(json.dumps(cli.CHECKERS[theorem][0](ctx, J, I).as_dict()))
+    assert report["status"] == "verified"
+
+
+def test_check_lemma_3_2_binds_q_and_i(instance_path, capsys):
+    rc = cli.main(["check", "--file", instance_path, "--theorem", "lemma_3_2",
+                   "--bind", "Q=Qsg,I=Isg"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["status"] == "verified"
+    assert (report["lhs"], report["rhs"]) == (2, 11)
+
+
+def test_check_generator_binding_is_input_error(instance_path, capsys):
+    rc = cli.main(["check", "--file", instance_path, "--theorem", "thm_2_3",
+                   "--bind", "J=param,h=1:1"])
+    assert rc == 2
+    assert "needs binding I=" in capsys.readouterr().err
 
 
 def test_check_missing_binding(instance_path, capsys):

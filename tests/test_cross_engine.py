@@ -203,7 +203,7 @@ def test_ideal_protocol_agrees_with_gfp_lift():
     assert not Jg.contains_ideal(I) and not J.contains_ideal(I)
     assert Ig.member((2, 1)) and I.member((2, 1))
     assert not Jg.member((2, 1)) and not J.member((2, 1))
-    assert Ig.power(2).colength() == I.power(2).colength()
+    assert Ig.product(Ig).colength() == I.product(I).colength()
     assert Jg.product(Ig).equals(Ig.product(Ig)) == J.product(I).equals(I.product(I))
     assert Ig.equals(I) and not Jg.equals(I)
     for call in (lambda: I.contains_ideal(Jg), lambda: I.member(Jg.gens[0])):
