@@ -24,12 +24,11 @@ I = mo.minimalize(2, [(4, 0), (1, 2), (0, 3)])
 hil = iv.hilbert_coeffs(ctx, I)
 print(f"\nI = (x^4, x*y^2, y^3): e = {hil.e}, "
       f"polynomial from n = {hil.postulation}")
-print(f"  raw sequence: {hil.sequence.values[:8]} ...")
+print(f"  raw sequence: {hil.sequence[:8]} ...")
 
 # the fitted polynomial reproduces the tabulated values
-poly = bf.BinomialPolynomial(2, hil.e)
-check = [bf.eval_binomial(poly, n) for n in range(hil.postulation,
-                                                  hil.postulation + 4)]
+check = [bf.eval_binomial(hil.e, n) for n in range(hil.postulation,
+                                                   hil.postulation + 4)]
 print(f"  refit check at n >= {hil.postulation}: {check}")
 
 # ---- fiber coefficients ------------------------------------------------------

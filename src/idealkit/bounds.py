@@ -71,6 +71,8 @@ def added_generators(J, I):
 
 def _enlargement(ctx, J, I):
     """red_J(I), lam(R/(J:I)) and f0(J) for an enlargement I of J."""
+    if not I.contains_ideal(J):
+        raise ValueError("J is not contained in I")
     return (invariants.reduction_number(ctx, J, I), invariants.colon_colength(ctx, J, I),
             invariants.fiber_coeffs(ctx, J).f[0])
 
@@ -194,15 +196,25 @@ def check_cor_sally(ctx, Q, I):
     hyps = [("Q_is_reduction", red is not None)]
     if red is None:
         return _report("cor_sally", hyps, 0, 0, {"reason": "no reduction relation within the cap"})
-    sal = invariants.sally_multiplicity(ctx, Q, I)
+    # the Sally multiplicity s0 = e1(I) - e1(Q) - e0(I) + lam(R/I)
+    hil = invariants.hilbert_coeffs(ctx, I)
+    note = "dim of the Sally module assumed maximal; H^0_m(R) = 0 in these domains"
+    if isinstance(Q, groebner.GroebnerIdeal):
+        # a d-generated parameter ideal in a CM ring has e1 = 0
+        e1_q = 0
+        note += "; e1(Q) = 0 taken from the parameter-ideal vanishing"
+    else:
+        e1_q = invariants.hilbert_coeffs(ctx, Q).e[1]
+    lam_i = I.colength()
+    s0 = hil.e[1] - e1_q - hil.e[0] + lam_i
     lam_colon = invariants.colon_colength(ctx, Q, I)
     nu_i = I.nu()
-    rhs = -sal.e0_i + sal.colength_i + lam_colon * (binom(nu_i - d + red, red) - 1)
-    witness = {"s0": sal.s0, "e1_I": sal.e1_i, "e1_Q": sal.e1_q,
-               "e0_I": sal.e0_i, "colength_I": sal.colength_i,
+    rhs = -hil.e[0] + lam_i + lam_colon * (binom(nu_i - d + red, red) - 1)
+    witness = {"s0": s0, "e1_I": hil.e[1], "e1_Q": e1_q,
+               "e0_I": hil.e[0], "colength_I": lam_i,
                "nu_I": nu_i, "s": red, "colon_colength": lam_colon,
-               "note": sal.hypotheses_note}
-    return _report("cor_sally", hyps, sal.s0, rhs, witness)
+               "note": note}
+    return _report("cor_sally", hyps, s0, rhs, witness)
 
 
 def _best_reduction_bound(ctx, I, seed, samples, good_enough):
@@ -268,11 +280,9 @@ def check_lemma_3_2(ctx, Q, I):
 def check_thm_3_3(ctx, I, seed=0, samples=invariants.SAMPLE_COUNT):
     """exists Q with red_Q(I) <= max(d*lam(R/J) - 2d + 1, 0), J a minimal reduction."""
     d = ctx.dim
-    if ctx.kind == "semigroup":
-        lam_j = min(I.gens)  # principal reduction (t^e), Apery colength e
-    else:
-        # any minimal reduction J has lam(R/J) = e0(I)
-        lam_j = invariants.hilbert_coeffs(ctx, I).e[0]
+    # any minimal reduction J has lam(R/J) = e0(I); in k[[t^H]], J = (t^e) with
+    # e = min(I) and lam(R/J) = e = e0(I)
+    lam_j = invariants.hilbert_coeffs(ctx, I).e[0]
     rhs = max(d * lam_j - 2 * d + 1, 0)
     bound, certified, details = _best_reduction_bound(ctx, I, seed, samples,
                                                       good_enough=rhs)
@@ -289,11 +299,11 @@ def check_thm_3_3(ctx, I, seed=0, samples=invariants.SAMPLE_COUNT):
 def check_cor_after_3_3(ctx):
     """e1(m) <= lam(R/(Q:m)) * [C(nu(m)+lam(R/Q)d-3d+1, nu(m)-d) - 1]."""
     d = ctx.dim
-    m = ctx.maximal_ideal()
-    nu_m = m.nu()
     # in k[[t^H]] the monomial t^mult is one choice among minimal reductions
     sampled = ctx.kind == "semigroup"
-    if nu_m == d:  # regular (every poly context): e(m) = (1, 0, ..., 0), m reduces itself
+    m = ctx.maximal_ideal() if sampled else None
+    nu_m = m.nu() if sampled else d  # a poly context is regular
+    if nu_m == d:  # regular: e(m) = (1, 0, ..., 0), m reduces itself
         e1_m = rhs = 0
         witness = {"e1_m": e1_m, "nu_m": nu_m, "regular": True}
     else:
@@ -329,7 +339,7 @@ def check_normalization(ctx, I):
     f0 = invariants.fiber_coeffs(ctx, I).f[0]
     lam = I.colength()
     ebar, fbar = invariants.normal_coeffs(ctx, I)
-    lam_bar = ebar.sequence.values[0]  # the n = 1 term: lam(R/Ibar)
+    lam_bar = ebar.sequence[0]  # the n = 1 term: lam(R/Ibar)
     branch_adic = f0 * lam
     branch_normal = fbar.f[0] * lam_bar
     witness = {"e0": e0, "f0": f0, "colength_I": lam,
@@ -362,7 +372,7 @@ def check_intro_bounds(ctx, I):
         # I lies in m^s, integrally closed in a regular ring (Huneke-Swanson 2006), so
         # Ibar does too, and equals m^s iff lam(R/Ibar) = lam(R/m^s) = C(s+d-1, d)
         ebar, _ = invariants.normal_coeffs(ctx, I)
-        distinct = ebar.sequence.values[0] != binom(s + d - 1, d)
+        distinct = ebar.sequence[0] != binom(s + d - 1, d)
         reports.append(_report(
             "rossi_valla", [("closure_differs_from_power", distinct)],
             e1, binom(e0 - s, 2), {"e0": e0, "e1": e1, "order": s}))

@@ -134,7 +134,7 @@ def _load_instances(path):
 
 
 def _sequence_payload(obj):
-    return {"start_n": obj.sequence.start_n, "values": list(obj.sequence.values)}
+    return {"start_n": 1, "values": list(obj.sequence)}
 
 
 def cmd_coeffs(args):

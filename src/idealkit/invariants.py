@@ -2,10 +2,11 @@
 
 Given an m-primary ideal in one of the supported engines (monomial exponent
 ideals, numerical-semigroup ideals, or GF(p) polynomial ideals), this module
-tabulates the length and generator-count sequences of its powers, fits them in
-the signed binomial basis to obtain the Hilbert coefficients e_0..e_d and
-fiber coefficients f_0..f_{d-1}, and computes reduction numbers, minimal
-reductions and related integers.  Everything is exact.
+takes the lengths and generator counts of its powers at n = 1, 2, ... as plain
+integer tuples, fits them in the signed binomial basis (binomfit.fit_binomial)
+to obtain the Hilbert coefficients e_0..e_d and fiber coefficients
+f_0..f_{d-1}, and computes reduction numbers, minimal reductions and related
+integers.  Everything is exact.
 
 The ideal protocol: monomial.MonomialIdeal, semigroup.SemigroupIdeal and
 groebner.GroebnerIdeal all have the methods colength() (local for GF(p)),
@@ -88,18 +89,16 @@ def semigroup_context(H):
 
 @dataclass(frozen=True)
 class HilbertData:
-    dim: int
     e: tuple
     postulation: int
-    sequence: binomfit.LengthSequence
+    sequence: tuple  # the fitted lengths at n = 1, 2, ...
 
 
 @dataclass(frozen=True)
 class FiberData:
-    dim: int
     f: tuple
     postulation: int
-    sequence: binomfit.LengthSequence
+    sequence: tuple  # the fitted generator counts at n = 1, 2, ...
 
 
 @dataclass(frozen=True)
@@ -113,16 +112,6 @@ class ReductionReport:
     @property
     def q_descriptor(self):
         return self.reduction.descriptor()
-
-
-@dataclass(frozen=True)
-class SallyReport:
-    s0: int
-    e1_i: int
-    e1_q: int
-    e0_i: int
-    colength_i: int
-    hypotheses_note: str
 
 
 def _memoized(fn):
@@ -169,17 +158,17 @@ def _power_walk(I):
 
 def _power_sequence(I, nmax, value):
     """value(I^n) for n = 1..nmax, e.g. lam(R/I^n) or nu(I^n)."""
-    return binomfit.LengthSequence(1, tuple(map(value, islice(_power_walk(I), nmax))))
+    return tuple(map(value, islice(_power_walk(I), nmax)))
 
 
 def _fit_with_horizon(make_seq, d, degree):
-    """Fit make_seq(h) at degree from h = 2(d+3), doubling h while it fails."""
+    """(coeffs, postulation, seq) of make_seq(h) fitted at degree, from
+    h = 2(d+3), doubling h while the fit fails."""
     horizon = 2 * (d + 3)
     while True:
         seq = make_seq(horizon)
         try:
-            report = binomfit.fit_binomial(seq, degree)
-            return report, seq
+            return (*binomfit.fit_binomial(seq, degree), seq)
         except binomfit.NonPolynomial:
             if horizon >= HORIZON_MAX:
                 raise HorizonExceeded(f"no polynomial behaviour up to n={horizon}")
@@ -190,9 +179,8 @@ def _fit_with_horizon(make_seq, d, degree):
 def hilbert_coeffs(ctx, I):
     """Hilbert coefficients e_0..e_d of an m-primary ideal."""
     d = ctx.dim
-    report, seq = _fit_with_horizon(
-        lambda h: _power_sequence(I, h, methodcaller("colength")), d, d)
-    return HilbertData(d, report.poly.coeffs, report.postulation_index, seq)
+    return HilbertData(*_fit_with_horizon(
+        lambda h: _power_sequence(I, h, methodcaller("colength")), d, d))
 
 
 @_memoized
@@ -206,15 +194,12 @@ def fiber_coeffs(ctx, J):
     """
     d = ctx.dim
     nus = cache(lambda h: _power_sequence(J, h, methodcaller("nu")))
-    sum_fit, sums = _fit_with_horizon(
-        lambda h: binomfit.LengthSequence(1, tuple(accumulate(nus(h).values))), d, d)
+    sum_coeffs, _, sums = _fit_with_horizon(lambda h: tuple(accumulate(nus(h))), d, d)
     seq = nus(len(sums))
-    report = binomfit.fit_binomial(seq, d - 1)
-    if sum_fit.poly.coeffs[0] != report.poly.coeffs[0]:
-        raise OracleMismatch(
-            f"f0 mismatch: direct {report.poly.coeffs[0]}, "
-            f"iterated-sum {sum_fit.poly.coeffs[0]}")
-    return FiberData(d, report.poly.coeffs, report.postulation_index, seq)
+    f, postulation = binomfit.fit_binomial(seq, d - 1)
+    if sum_coeffs[0] != f[0]:
+        raise OracleMismatch(f"f0 mismatch: direct {f[0]}, iterated-sum {sum_coeffs[0]}")
+    return FiberData(f, postulation, seq)
 
 
 @_memoized
@@ -226,12 +211,10 @@ def normal_coeffs(ctx, I):
     table = cache(lambda h: monomial.closure_data(I, h))
 
     def column(index):
-        return lambda h: binomfit.LengthSequence(1, tuple(row[index] for row in table(h)))
+        return lambda h: tuple(row[index] for row in table(h))
 
-    hrep, hseq = _fit_with_horizon(column(0), d, d)
-    frep, fseq = _fit_with_horizon(column(1), d, d - 1)
-    return (HilbertData(d, hrep.poly.coeffs, hrep.postulation_index, hseq),
-            FiberData(d, frep.poly.coeffs, frep.postulation_index, fseq))
+    return (HilbertData(*_fit_with_horizon(column(0), d, d)),
+            FiberData(*_fit_with_horizon(column(1), d, d - 1)))
 
 
 # ---------------------------------------------------------------- reductions
@@ -375,21 +358,6 @@ def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
         raise NoReductionFound(f"no sampled reduction within cap {REDUCTION_CAP}")
     Q, s = best
     return ReductionReport(Q, s, True, tried, False)
-
-
-def sally_multiplicity(ctx, Q, I):
-    """s0 = e1(I) - e1(Q) - e0(I) + lam(R/I) for a reduction Q of I."""
-    hil = hilbert_coeffs(ctx, I)
-    note = "dim of the Sally module assumed maximal; H^0_m(R) = 0 in these domains"
-    if isinstance(Q, groebner.GroebnerIdeal):
-        # a d-generated parameter ideal in a CM ring has e1 = 0
-        e1_q = 0
-        note += "; e1(Q) = 0 taken from the parameter-ideal vanishing"
-    else:
-        e1_q = hilbert_coeffs(ctx, Q).e[1]
-    lam = I.colength()
-    s0 = hil.e[1] - e1_q - hil.e[0] + lam
-    return SallyReport(s0, hil.e[1], e1_q, hil.e[0], lam, note)
 
 
 @_memoized

@@ -23,61 +23,36 @@ def test_binom_negative_argument_polynomial_extension():
     assert bf.binom(5, -1) == 0
 
 
-def test_length_sequence_indexing():
-    seq = bf.LengthSequence(3, (7, 9, 11))
-    assert seq.at(3) == 7
-    assert seq.at(5) == 11
-    assert seq.end_n == 5
-    assert len(seq) == 3
-
-
 def test_eval_binomial_signed_convention():
     # P(n) = e0*C(n+1, 2) - e1*C(n, 1) + e2, the d=2 Hilbert shape
-    p = bf.BinomialPolynomial(2, (4, 1, 0))
-    assert [bf.eval_binomial(p, n) for n in range(1, 5)] == [3, 10, 21, 36]
+    assert [bf.eval_binomial((4, 1, 0), n) for n in range(1, 5)] == [3, 10, 21, 36]
 
 
 def test_tabulate_round_trip_exact_coeffs():
-    p = bf.BinomialPolynomial(3, (343, 0, 0, 0))
-    seq = bf.tabulate(p, 1, 12)
-    rep = bf.fit_binomial(seq, 3)
-    assert rep.poly.coeffs == (343, 0, 0, 0)
-    assert rep.postulation_index == 1
+    values = tuple(bf.eval_binomial((343, 0, 0, 0), n) for n in range(1, 13))
+    assert bf.fit_binomial(values, 3) == ((343, 0, 0, 0), 1)
 
 
 def test_fit_detects_transient_prefix():
     # polynomial from n=3 onward, garbage before
-    p = bf.BinomialPolynomial(2, (5, 2, 1))
-    tail = [bf.eval_binomial(p, n) for n in range(3, 13)]
-    seq = bf.LengthSequence(1, (99, 98) + tuple(tail))
-    rep = bf.fit_binomial(seq, 2)
-    assert rep.poly.coeffs == (5, 2, 1)
-    assert rep.postulation_index == 3
+    tail = tuple(bf.eval_binomial((5, 2, 1), n) for n in range(3, 13))
+    assert bf.fit_binomial((99, 98) + tail, 2) == ((5, 2, 1), 3)
 
 
 def test_fit_raises_on_non_polynomial_window():
-    seq = bf.LengthSequence(1, (1, 2, 4, 8, 16, 32, 64, 128, 256))
     with pytest.raises(bf.NonPolynomial):
-        bf.fit_binomial(seq, 2)
+        bf.fit_binomial((1, 2, 4, 8, 16, 32, 64, 128, 256), 2)
 
 
 def test_fit_window_too_short():
     with pytest.raises(bf.WindowTooShort):
-        bf.fit_binomial(bf.LengthSequence(1, (1, 2, 3)), 2)
-
-
-def test_finite_difference():
-    seq = bf.LengthSequence(1, (1, 4, 9, 16))
-    diff = bf.finite_difference(seq)
-    assert diff.values == (3, 5, 7)
-    assert diff.start_n == 1
+        bf.fit_binomial((1, 2, 3), 2)
 
 
 def test_fit_rejects_fractional_coefficients():
     # values of n^2/2 rounded will not fit an integer binomial polynomial
-    seq = bf.LengthSequence(1, tuple(n * n * n // 7 for n in range(1, 12)))
     with pytest.raises(bf.NonPolynomial):
-        bf.fit_binomial(seq, 2)
+        bf.fit_binomial(tuple(n * n * n // 7 for n in range(1, 12)), 2)
 
 
 NONZERO = st.integers(-9, 9).filter(bool)
@@ -87,21 +62,17 @@ NONZERO = st.integers(-9, 9).filter(bool)
 @given(st.data())
 def test_fit_recovers_polynomial_after_garbage_prefix(data):
     D = data.draw(st.integers(0, 4), label="D")
-    coeffs = data.draw(st.lists(st.integers(-500, 500), min_size=D + 1, max_size=D + 1))
-    p = bf.BinomialPolynomial(D, coeffs)
-    start = data.draw(st.integers(-6, 0), label="start")
+    coeffs = tuple(data.draw(st.lists(st.integers(-500, 500), min_size=D + 1, max_size=D + 1)))
     # garbage offsets on the first values; the last one is nonzero, so the
-    # polynomial holds exactly from start + len(garbage) on
+    # polynomial holds exactly from n = 1 + len(garbage) on
     garbage = data.draw(st.lists(st.integers(-9, 9), max_size=4))
     if garbage:
         garbage[-1] = data.draw(NONZERO)
     length = len(garbage) + 2 * D + 3 + data.draw(st.integers(0, 4))
-    values = [bf.eval_binomial(p, start + j) for j in range(length)]
+    values = [bf.eval_binomial(coeffs, n) for n in range(1, length + 1)]
     values[:len(garbage)] = [v + g for v, g in zip(values, garbage)]
-    rep = bf.fit_binomial(bf.LengthSequence(start, values), D)
-    assert rep.poly.coeffs == tuple(coeffs)
-    assert rep.postulation_index == start + len(garbage)
+    assert bf.fit_binomial(tuple(values), D) == (coeffs, 1 + len(garbage))
     guard = data.draw(st.integers(length - D - 2, length - 1), label="guard")
     values[guard] += data.draw(NONZERO)
     with pytest.raises(bf.NonPolynomial):
-        bf.fit_binomial(bf.LengthSequence(start, values), D)
+        bf.fit_binomial(tuple(values), D)

@@ -129,6 +129,13 @@ def test_cor_sally(ctx2, msq):
     assert rep.hypotheses == (("Q_is_reduction", True),)
 
 
+def test_sally_multiplicity(ctx2, msq):
+    # s0 = e1(I) - e1(Q) - e0(I) + lam(R/I) for the reduction Q = (x^2, y^2) of m^2
+    Q = mo.minimalize(2, [(2, 0), (0, 2)])
+    w = bd.check_cor_sally(ctx2, Q, msq).witness
+    assert (w["s0"], w["e1_I"], w["e1_Q"], w["e0_I"], w["colength_I"]) == (0, 1, 0, 4, 3)
+
+
 def test_cor_sally_skips_a_non_reduction(ctx2, msq):
     # (x^2, xy) lies in m^2 but is not m-primary, so no reduction number exists
     Q = mo.minimalize(2, [(2, 0), (1, 1)])

@@ -62,6 +62,21 @@ def test_coeffs_normal(instance_path, capsys):
     assert payload["normal"]["e"][0] == payload["e"][0]
 
 
+def test_coeffs_payload_pinned(instance_path, capsys):
+    # lam(R/m^(2n)) = 2n^2 + n, fitted from n = 1 over the first horizon
+    rc = cli.main(["coeffs", "--file", instance_path, "--ideal", "msq",
+                   "--fiber", "--normal"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "e": [4, 1, 0],
+        "f": [2, -1],
+        "normal": {"e": [4, 1, 0], "f": [2, -1]},
+        "postulation": 1,
+        "sequence": {"start_n": 1,
+                     "values": [3, 10, 21, 36, 55, 78, 105, 136, 171, 210]},
+    }
+
+
 def test_check_thm_2_2(instance_path, capsys):
     rc = cli.main(["check", "--file", instance_path, "--theorem", "thm_2_2",
                    "--bind", "J=J7,I=I7"])
@@ -284,6 +299,9 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
     # have local colength 3
     ({"ideals": {"Qp": Q_X3_Y}},
      ["check", "--theorem", "rossi", "--bind", "Q=Qp,I=msq"], 2),
+    # J = m^2 is not contained in I = (x^2, y^2)
+    ({}, ["check", "--theorem", "thm_e1hs", "--bind", "J=msq,I=param"], 2),
+    ({}, ["check", "--theorem", "prop_f0", "--bind", "J=msq,I=param"], 2),
     ({"ideals": {"Qp": Q_X3_Y, "Ip": {
         "ring": "P2", "form": "polynomials",
         "data": [[{"exp": v, "coef": 1}] for v in ([2, 0], [1, 1], [0, 2])]}}},
@@ -318,6 +336,7 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
         "no_reduction_found", "negative_samples_poly", "negative_samples_semigroup",
         "gfp_homogeneous_not_m_primary",
         "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
+        "e1hs_j_not_in_i", "f0_j_not_in_i",
         "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce",
         "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i", "unit_monomial",
         "unit_exponents", "unit_polynomials", "unit_extend_monomial",
@@ -332,6 +351,14 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
     err = capsys.readouterr().err
     assert err.startswith("input error:" if code == 2 else "limit error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theorem", ["thm_e1hs", "prop_f0"])
+def test_enlargement_names_a_j_outside_i(instance_path, capsys, theorem):
+    rc = cli.main(["check", "--file", instance_path, "--theorem", theorem,
+                   "--bind", "J=msq,I=param"])
+    assert rc == 2
+    assert capsys.readouterr().err == "input error: J is not contained in I\n"
 
 
 def test_heights_over_the_cap_exit_3(tmp_path, capsys):

@@ -156,13 +156,6 @@ def test_minimal_reduction_semigroup(ctx479):
     assert rep.is_minimal and rep.certified
 
 
-def test_sally_multiplicity(ctx2):
-    Q = mo.minimalize(2, [(2, 0), (0, 2)])
-    I = mo.power(ctx2.maximal_ideal(), 2)
-    rep = iv.sally_multiplicity(ctx2, Q, I)
-    assert (rep.s0, rep.e1_i, rep.e1_q, rep.e0_i, rep.colength_i) == (0, 1, 0, 4, 3)
-
-
 def test_nu_power_criterion(ctx2):
     assert iv.nu_power_criterion(ctx2, ctx2.maximal_ideal()) == 0
     assert iv.nu_power_criterion(ctx2, mo.power(ctx2.maximal_ideal(), 2)) == 1
@@ -195,9 +188,8 @@ def test_horizon_doubling_handles_late_stabilization(ctx2):
     hil = iv.hilbert_coeffs(ctx2, I)
     # spot check two values against the fitted polynomial shape
     from idealkit import binomfit as bf
-    poly = bf.BinomialPolynomial(2, hil.e)
     for n in (hil.postulation, hil.postulation + 3):
-        assert bf.eval_binomial(poly, n) == hil.sequence.at(n)
+        assert bf.eval_binomial(hil.e, n) == hil.sequence[n - 1]
 
 
 # ------------------------------------------------------------ battery memo

@@ -15,18 +15,17 @@ coeff_lists = st.lists(st.integers(min_value=-50, max_value=50),
 
 
 @SUITE
-@given(coeffs=coeff_lists, start=st.integers(min_value=1, max_value=5))
-def test_binomial_round_trip(coeffs, start):
+@given(coeffs=coeff_lists)
+def test_binomial_round_trip(coeffs):
     d = len(coeffs) - 1
     if coeffs[0] == 0:
         coeffs = [1] + coeffs[1:]
-    poly = bf.BinomialPolynomial(d, tuple(coeffs))
-    seq = bf.tabulate(poly, start, 2 * d + 4)
-    rep = bf.fit_binomial(seq, d)
-    assert rep.poly.coeffs == poly.coeffs
-    # fitted polynomial reproduces every tabulated value
-    assert all(bf.eval_binomial(rep.poly, start + j) == seq.values[j]
-               for j in range(len(seq)))
+    coeffs = tuple(coeffs)
+    values = tuple(bf.eval_binomial(coeffs, n) for n in range(1, 2 * d + 5))
+    fitted, _ = bf.fit_binomial(values, d)
+    assert fitted == coeffs
+    # fitted polynomial reproduces every value it was fitted to
+    assert all(bf.eval_binomial(fitted, n) == v for n, v in enumerate(values, 1))
 
 
 exponent_vectors = st.lists(
