@@ -199,8 +199,9 @@ def check_cor_sally(ctx, Q, I):
     # the Sally multiplicity s0 = e1(I) - e1(Q) - e0(I) + lam(R/I)
     hil = invariants.hilbert_coeffs(ctx, I)
     note = "dim of the Sally module assumed maximal; H^0_m(R) = 0 in these domains"
-    if isinstance(Q, groebner.GroebnerIdeal):
-        # a d-generated parameter ideal in a CM ring has e1 = 0
+    if isinstance(Q, groebner.GroebnerIdeal) and len(Q.gens) == d:
+        # a d-generated reduction of an m-primary I is a parameter ideal, and
+        # a parameter ideal in a CM ring has e1 = 0
         e1_q = 0
         note += "; e1(Q) = 0 taken from the parameter-ideal vanishing"
     else:

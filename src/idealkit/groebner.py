@@ -26,6 +26,7 @@ from . import monomial
 DEFAULT_PRIME = 32003
 GEN_CAP = 5000
 MATRIX_CAP = 1500
+REDUCTION_CAP = 30
 
 
 class NonStabilizing(Exception):
@@ -520,7 +521,7 @@ def random_minimal_reduction(gens, d, ring, rng_seed):
     return GroebnerIdeal(ring, combos)
 
 
-def reduction_number(Q, I, cap=30):
+def reduction_number(Q, I, cap=REDUCTION_CAP):
     """Least s with I^(s+1) = Q * I^s in the localization at the origin.
 
     Comparing local colengths decides equality only when Q*I^s lies in

@@ -226,6 +226,11 @@ def _battery_semigroup(inst):
     return reports, extra
 
 
+def _claim(engine, claimed, **detail):
+    """One claim of Example 2.4: the engine's value, the paper's, and whether they agree."""
+    return {"engine": engine, "claimed": claimed, "agree": engine == claimed, **detail}
+
+
 def _battery_example_2_4(inst):
     a, ell = inst["params"]
     H = semigroup.semigroup(inst["H"])
@@ -245,23 +250,13 @@ def _battery_example_2_4(inst):
     lam_colon = invariants.colon_colength(ctx, Q, I)
     e1hs_rhs = lam_colon * (binom(mm + red, red) - 1)
     claims = {
-        "mI_in_Q": {"engine": mi_in_q, "claimed": True,
-                    "agree": mi_in_q is True},
-        "e1_equals_a_minus_2": {"engine": e1, "claimed": a - 2,
-                                "agree": e1 == a - 2},
-        "lam_I_over_Q_equals_a_minus_3": {"engine": lam_iq, "claimed": a - 3,
-                                          "agree": lam_iq == a - 3},
-        "I3_equals_QI2": {"engine": red <= 2, "claimed": True,
-                          "agree": red <= 2, "red_Q_I": red},
-        "e1_identity_e0_lam": {"engine": e1 == e0 - lam_i + 1, "claimed": True,
-                               "agree": e1 == e0 - lam_i + 1,
-                               "e0": e0, "colength_I": lam_i},
-        "e1hs_equality_iff_a4": {"engine": e1 == e1hs_rhs,
-                                 "claimed": a == 4,
-                                 "agree": (e1 == e1hs_rhs) == (a == 4),
-                                 "rhs": e1hs_rhs},
-        "e1_fit_equals_series": {"engine": e1 == e1_series, "claimed": True,
-                                 "agree": e1 == e1_series},
+        "mI_in_Q": _claim(mi_in_q, True),
+        "e1_equals_a_minus_2": _claim(e1, a - 2),
+        "lam_I_over_Q_equals_a_minus_3": _claim(lam_iq, a - 3),
+        "I3_equals_QI2": _claim(red <= 2, True, red_Q_I=red),
+        "e1_identity_e0_lam": _claim(e1 == e0 - lam_i + 1, True, e0=e0, colength_I=lam_i),
+        "e1hs_equality_iff_a4": _claim(e1 == e1hs_rhs, a == 4, rhs=e1hs_rhs),
+        "e1_fit_equals_series": _claim(e1 == e1_series, True),
     }
     reports = [
         bounds.check_cor_sally(ctx, Q, I),

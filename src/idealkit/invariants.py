@@ -15,17 +15,20 @@ nu(), order(), product(J), colon(J) = (I : J), contains_ideal(J)
 extend(extra) (I plus the monomials in extra) and descriptor() (generators as
 JSON-ready nested tuples).  A GF(p) ideal raises TypeError for nu, order and
 integral_over, and lifts a monomial argument of colon, contains_ideal and
-equals into its own ring; a monomial ideal raises TypeError when member or
-contains_ideal is given a polynomial or a GF(p) ideal.  Each method calls its
-engine's module function by name when it runs, so the module functions remain
-the implementation.
+equals into its own ring; a monomial ideal raises TypeError when member,
+contains_ideal or colon is given a polynomial or a GF(p) ideal.  Each method
+calls its engine's module function by name when it runs, so the module
+functions remain the implementation.
 
 The checkers ask for the same invariants of J and I = J + (h) again and again,
 so the functions marked @_memoized compute once per battery: run_battery opens
 MEMO for one battery (not the process, so repeated benchmark passes stay cold),
-keyed by positional arguments: GF(p) ideals by identity, the rest by value.
-The memo also keeps one list of each ideal's powers for every walk over them,
-and minimal_reduction tests all its samples against one walk, step by step.
+keyed by positional arguments only: GF(p) ideals by identity, the rest by value.
+The memo also keeps one list of each ideal's powers for every walk over them.
+Each engine walks Q*I^s against I^(s+1) once, within the one REDUCTION_CAP:
+in k[[t^H]] that walk also sums the dimension-one e1 series, and
+minimal_reduction tests all its samples for a monomial I against one walk,
+step by step.
 """
 
 from contextvars import ContextVar
@@ -40,7 +43,7 @@ import numpy as np
 from . import binomfit, groebner, monomial, semigroup
 
 HORIZON_MAX = 200
-REDUCTION_CAP = 30
+REDUCTION_CAP = groebner.REDUCTION_CAP  # the largest s every reduction-number walk tries
 SAMPLE_COUNT = 8
 MEMO = ContextVar("MEMO", default=None)  # {(function, args): result} of the open battery
 
@@ -105,7 +108,6 @@ class FiberData:
 class ReductionReport:
     reduction: object
     reduction_number: int
-    is_minimal: bool
     samples_tried: int
     certified: bool
 
@@ -115,12 +117,13 @@ class ReductionReport:
 
 
 def _memoized(fn):
-    """fn, answered from MEMO; keyword arguments or no open memo call through."""
+    """fn, answered from MEMO keyed by its positional arguments only; with no
+    open memo it calls through."""
     @wraps(fn)
-    def memo_fn(*args, **kwargs):
+    def memo_fn(*args):
         memo = MEMO.get()
-        if memo is None or kwargs:
-            return fn(*args, **kwargs)
+        if memo is None:
+            return fn(*args)
         key = (fn, args)  # hashed once on a hit: ideals hash their whole value
         result = memo.get(key, memo)  # the memo itself marks a miss
         if result is memo:
@@ -254,7 +257,7 @@ def colon_colength(ctx, Q, I):
 
 
 @_memoized
-def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
+def reduction_number(ctx, Q, I):
     """Least s with I^(s+1) = Q * I^s (at the origin for GF(p) ideals).
 
     A GF(p) ideal I goes to groebner.reduction_number.  For a monomial I and
@@ -267,26 +270,34 @@ def reduction_number(ctx, Q, I, cap=REDUCTION_CAP):
     u*g = w), and s is the least step at which it has full column rank.
     """
     if isinstance(I, groebner.GroebnerIdeal):
-        return groebner.reduction_number(to_groebner(ctx, Q), I, cap=cap)
+        return groebner.reduction_number(to_groebner(ctx, Q), I)
     if isinstance(I, semigroup.SemigroupIdeal):
-        if not I.contains_ideal(Q):
-            raise ValueError("Q is not contained in I")
-        QIs = Q  # Q*I^s, against I^(s+1), from s = 0
-        for s, Inext in zip(range(cap + 1), _power_walk(I)):
-            if QIs.equals(Inext):
-                return s
-            QIs = Q.product(Inext)
-        raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
+        return _dimension_one_walk(Q, I)[0]
     qs, p = _polynomials(ctx, Q)
     if not _contains_termwise(I, qs):
         raise ValueError("Q is not contained in I")
-    return _least_full_rank([qs], p, I, cap)[0]
+    return _least_full_rank([qs], p, I)[0]
 
 
 _reduction_number = reduction_number.__wrapped__  # its memo key; tracers replace only the wrapper
 
 
-def _least_full_rank(samples, p, I, cap):
+@_memoized
+def _dimension_one_walk(Q, I):
+    """(red_Q(I), sum of lam(I^(s+1)/Q*I^s) over s >= 0) for ideals Q in I of
+    k[[t^H]]: the terms vanish from s = red_Q(I) on, so one walk gives both."""
+    if not I.contains_ideal(Q):
+        raise ValueError("Q is not contained in I")
+    total, QIs = 0, Q  # Q*I^s, against I^(s+1), from s = 0
+    for s, Inext in zip(range(REDUCTION_CAP + 1), _power_walk(I)):
+        if QIs.equals(Inext):
+            return s, total
+        total += semigroup.rel_length(Inext, QIs)
+        QIs = Q.product(Inext)
+    raise groebner.CapExceeded(f"no reduction relation up to cap {REDUCTION_CAP}")
+
+
+def _least_full_rank(samples, p, I):
     """(s, k): the least step s at which some samples[k] (generators in I, as
     term dicts) gives the matrix of reduction_number full column rank, and the
     first such k.  The column of u*g (u a term, g in I^s) is found once a step."""
@@ -294,7 +305,7 @@ def _least_full_rank(samples, p, I, cap):
     coeffs = [np.array([[q.get(u, 0) for u in terms] for q in qs], dtype=np.int64)
               for qs in samples]
     Is = monomial.unit_ideal(I.dim)
-    for s, Inext in zip(range(cap + 1), _power_walk(I)):
+    for s, Inext in zip(range(REDUCTION_CAP + 1), _power_walk(I)):
         column = {w: k for k, w in enumerate(Inext.gens)}
         at = np.array([[column.get(tuple(a + b for a, b in zip(u, g)), -1) for u in terms]
                        for g in Is.gens], dtype=np.int64)
@@ -308,7 +319,7 @@ def _least_full_rank(samples, p, I, cap):
                 if groebner._rank_mod(M, p) == len(column):
                     return s, k
         Is = Inext
-    raise groebner.CapExceeded(f"no reduction relation up to cap {cap}")
+    raise groebner.CapExceeded(f"no reduction relation up to cap {REDUCTION_CAP}")
 
 
 def principal_reduction(ctx, I):
@@ -319,45 +330,38 @@ def principal_reduction(ctx, I):
 
 def minimal_reduction(ctx, I, samples=SAMPLE_COUNT, seed=0):
     """A d-generated reduction with the best reduction number over samples:
-    the first with the least, all tested together for a monomial I."""
+    the first with the least.  A monomial I tests all samples against one
+    walk; a GF(p) I tests them one by one, up to the first with number 0."""
     if ctx.kind == "semigroup":
         Q = principal_reduction(ctx, I)
-        s = reduction_number(ctx, Q, I)
-        return ReductionReport(Q, s, True, 1, True)
+        return ReductionReport(Q, reduction_number(ctx, Q, I), 1, True)
     d = ctx.dim
     if isinstance(I, monomial.MonomialIdeal) and I.nu() == d:
-        return ReductionReport(I, 0, True, 0, True)
+        return ReductionReport(I, 0, 0, True)
     Ig = to_groebner(ctx, I)
-    draws = (groebner.random_minimal_reduction(list(Ig.gens), d, Ig.ring,
-                                               rng_seed=seed * 10007 + k)
-             for k in range(samples))
-    best = None
-    tried = 0
-    if isinstance(I, monomial.MonomialIdeal) and samples > 0:
-        Qs = list(draws)
+    Qs = [groebner.random_minimal_reduction(list(Ig.gens), d, Ig.ring, rng_seed=seed * 10007 + k)
+          for k in range(samples)]
+    found = []  # (s, k): sample k has reduction number s
+    if Qs and isinstance(I, monomial.MonomialIdeal):
         try:
-            s, k = _least_full_rank([Q.gens for Q in Qs], Ig.ring.char_p, I, REDUCTION_CAP)
+            found.append(_least_full_rank([Q.gens for Q in Qs], Ig.ring.char_p, I))
         except groebner.CapExceeded:
             pass
-        else:
-            best, tried = (Qs[k], s), (k + 1 if s == 0 else samples)
-            memo = MEMO.get()
-            if memo is not None:  # the checkers ask for this number again
-                memo[(_reduction_number, (ctx, Qs[k], I))] = s
-    for Q in draws:  # already drained for a monomial I
-        tried += 1
-        try:
-            s = reduction_number(ctx, Q, I)
-        except groebner.CapExceeded:
-            continue
-        if best is None or s < best[1]:
-            best = (Q, s)
-        if s == 0:
-            break
-    if best is None:
+    else:
+        for k, Q in enumerate(Qs):
+            try:
+                found.append((reduction_number(ctx, Q, I), k))
+            except groebner.CapExceeded:
+                continue
+            if found[-1][0] == 0:
+                break
+    if not found:
         raise NoReductionFound(f"no sampled reduction within cap {REDUCTION_CAP}")
-    Q, s = best
-    return ReductionReport(Q, s, True, tried, False)
+    s, k = min(found)
+    memo = MEMO.get()
+    if memo is not None:  # the checkers ask for this number again
+        memo[(_reduction_number, (ctx, Qs[k], I))] = s
+    return ReductionReport(Qs[k], s, k + 1 if s == 0 else samples, False)
 
 
 @_memoized
@@ -377,15 +381,8 @@ def nu_power_criterion(ctx, I):
 
 
 def e1_series_check(ctx, Q, I):
-    """Independent dim-1 value of e1: sum of lam(I^(n+1)/Q*I^n) over n >= 0."""
+    """Dim-1 value of e1 independent of the fit: sum of lam(I^(n+1)/Q*I^n)
+    over n >= 0 (Huneke 1987; Ooishi 1987), read off the reduction-number walk."""
     if ctx.dim != 1:
         raise ValueError("series oracle is one-dimensional only")
-    total = 0
-    Inext, QIn = I, Q  # I^(n+1) and Q*I^n, from n = 0
-    for _ in range(REDUCTION_CAP + 1):
-        step = semigroup.rel_length(Inext, QIn)
-        total += step
-        if step == 0 and QIn.equals(Inext):
-            return total
-        Inext, QIn = Inext.product(I), Q.product(Inext)
-    raise groebner.CapExceeded("series did not terminate within cap")
+    return _dimension_one_walk(Q, I)[1]

@@ -296,6 +296,9 @@ def power(I, n):
 def colon(J, I):
     """Colon ideal (J : I): h(a) is the max of h_J(a + g') - g_d and 0 over the
     generators g of I."""
+    if not isinstance(I, MonomialIdeal):
+        raise TypeError(f"a monomial ideal cannot take its colon by a {type(I).__name__}; "
+                        "give both ideals in one form")
     if J.dim != I.dim:
         raise ValueError("dimension mismatch")
     h = J.heights

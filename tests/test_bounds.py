@@ -136,6 +136,22 @@ def test_sally_multiplicity(ctx2, msq):
     assert (w["s0"], w["e1_I"], w["e1_Q"], w["e0_I"], w["colength_I"]) == (0, 1, 0, 4, 3)
 
 
+def test_cor_sally_states_e1_zero_for_a_d_generated_gfp_q(ctx2, msq):
+    # a sampled 2-generated reduction of m^2 is a parameter ideal, so e1(Q) = 0
+    Q = iv.minimal_reduction(ctx2, msq, seed=2).reduction
+    rep = bd.check_cor_sally(ctx2, Q, msq)
+    assert (rep.status, rep.lhs, rep.witness["e1_Q"]) == ("verified", 0, 0)
+    assert rep.witness["note"].endswith("; e1(Q) = 0 taken from the parameter-ideal vanishing")
+    assert iv.hilbert_coeffs(ctx2, Q).e[1] == 0
+
+
+def test_cor_sally_fits_e1_of_a_gfp_q_with_more_than_d_generators(ctx2, msq):
+    # m^2 given by its three monomials over GF(p) is no parameter ideal: e1(Q) = 1
+    rep = bd.check_cor_sally(ctx2, iv.to_groebner(ctx2, msq), msq)
+    assert (rep.status, rep.lhs, rep.rhs, rep.witness["e1_Q"]) == ("verified", -1, -1, 1)
+    assert rep.as_dict() == bd.check_cor_sally(ctx2, msq, msq).as_dict()
+
+
 def test_cor_sally_skips_a_non_reduction(ctx2, msq):
     # (x^2, xy) lies in m^2 but is not m-primary, so no reduction number exists
     Q = mo.minimalize(2, [(2, 0), (1, 1)])

@@ -314,6 +314,11 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
      ["check", "--theorem", "thm_2_2", "--bind", "J=Pp,I=msq"], 2),
     ({"ideals": {"Pp": PARAM_POLY}},
      ["check", "--theorem", "thm_2_2", "--bind", "J=msq,I=Pp"], 2),
+    # a monomial Q cannot take its colon by a polynomial I
+    ({"ideals": {"Pp": PARAM_POLY}},
+     ["check", "--theorem", "cor_e1para", "--bind", "Q=param,I=Pp"], 2),
+    ({"ideals": {"Pp": PARAM_POLY}},
+     ["check", "--theorem", "cor_sally", "--bind", "Q=param,I=Pp"], 2),
     # the unit ideal, in every form, is not an m-primary ideal
     ({"ideals": {"u": {"ring": "P2", "form": "monomial", "data": [[0, 0]]}}},
      ["coeffs", "--ideal", "u"], 2),
@@ -338,7 +343,8 @@ PARAM_POLY = {"ring": "P2", "form": "polynomials",
         "gfp_not_zero_dimensional", "gfp_q_not_in_monomial_i",
         "e1hs_j_not_in_i", "f0_j_not_in_i",
         "gfp_q_not_in_gfp_i", "over_cap_coeffs", "over_cap_minreduce",
-        "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i", "unit_monomial",
+        "mixed_gfp_j_monomial_i", "mixed_monomial_j_gfp_i",
+        "mixed_monomial_q_gfp_i_e1para", "mixed_monomial_q_gfp_i_sally", "unit_monomial",
         "unit_exponents", "unit_polynomials", "unit_extend_monomial",
         "unit_extend_exponents", "unit_extend_polynomials"])
 def test_errors_map_to_exit_codes(tmp_path, capsys, extra, argv, code):
@@ -359,6 +365,34 @@ def test_enlargement_names_a_j_outside_i(instance_path, capsys, theorem):
                    "--bind", "J=msq,I=param"])
     assert rc == 2
     assert capsys.readouterr().err == "input error: J is not contained in I\n"
+
+
+@pytest.mark.parametrize("theorem", ["cor_e1para", "cor_sally", "rossi"])
+@pytest.mark.parametrize("q, i", [("param", "param"), ("param", "msq"), ("msq", "msq")])
+@pytest.mark.parametrize("forms", ["Q", "I", "QI"])
+def test_mixed_forms_agree_with_the_monomial_run_or_exit_2(tmp_path, capsys, theorem,
+                                                           q, i, forms):
+    # the named ideals again in polynomials form, as monic terms of the same monomials
+    ideals = INSTANCE_FILE["ideals"]
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps({**INSTANCE_FILE, "ideals": {**ideals, **{
+        "P" + name: {"ring": "P2", "form": "polynomials",
+                     "data": [[{"exp": u, "coef": 1}] for u in ideals[name]["data"]]}
+        for name in (q, i)}}}))
+
+    def run(qname, iname):
+        rc = cli.main(["check", "--file", str(path), "--theorem", theorem,
+                       "--bind", f"Q={qname},I={iname}"])
+        out, err = capsys.readouterr()
+        if rc == 2:
+            assert err.startswith("input error:") and err.count("\n") == 1
+            return None
+        assert rc in (0, 1)
+        return [(r["status"], r["lhs"], r["rhs"]) for r in json.loads(out)["reports"]]
+
+    want = run(q, i)
+    got = run("P" * ("Q" in forms) + q, "P" * ("I" in forms) + i)
+    assert got is None or got == want
 
 
 def test_heights_over_the_cap_exit_3(tmp_path, capsys):

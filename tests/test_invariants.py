@@ -135,7 +135,7 @@ def test_reduction_number_rejects_non_subideal(ctx2):
         iv.reduction_number(ctx2, mo.minimalize(2, [(1, 0), (0, 1)]), I)
         # a proper superset of I is not contained in I
     with pytest.raises(gb.CapExceeded):
-        iv.reduction_number(ctx2, mo.power(Q, 2), mo.power(I, 2), cap=3)
+        iv.reduction_number(ctx2, mo.power(Q, 2), mo.power(I, 2))
 
 
 def test_minimal_reduction_poly(ctx2):
@@ -153,7 +153,7 @@ def test_minimal_reduction_semigroup(ctx479):
     rep = iv.minimal_reduction(ctx479, I)
     assert rep.q_descriptor == (11,)
     assert rep.reduction_number == 2
-    assert rep.is_minimal and rep.certified
+    assert rep.certified
 
 
 def test_nu_power_criterion(ctx2):
@@ -168,6 +168,21 @@ def test_e1_series_matches_fit(ctx479):
     series = iv.e1_series_check(ctx479, Q, I)
     assert series == iv.hilbert_coeffs(ctx479, I).e[1] == 3
     assert iv.e1_series_check(ctx479, Q, Q) == 0
+
+
+def test_reduction_number_and_e1_series_share_one_walk(monkeypatch, ctx479):
+    H = ctx479.numerical
+    I = sg.ideal(H, [11, 14])
+    Q = sg.ideal(H, [11])
+    products = _counting(monkeypatch, sg, "product")
+    token = iv.MEMO.set({})
+    try:
+        assert iv.reduction_number(ctx479, Q, I) == 2
+        assert len(products) == 4  # Q*I, I^2, Q*I^2, I^3
+        assert iv.e1_series_check(ctx479, Q, I) == 3
+    finally:
+        iv.MEMO.reset(token)
+    assert len(products) == 4
 
 
 def test_e1_series_red_le_1_identity():
@@ -228,24 +243,6 @@ def test_each_battery_starts_cold_and_shares_work_inside(monkeypatch):
         fit_counts.append(len(fits))
     assert records[0] == records[1]
     assert fit_counts[0] == fit_counts[1] < len(hilbert)
-
-
-def _stored_reduction_numbers():
-    """The argument tuples under which the open memo holds a reduction number."""
-    return [args for fn, args in iv.MEMO.get() if fn is iv.reduction_number.__wrapped__]
-
-
-def test_keyword_arguments_bypass_the_memo(ctx2):
-    I = mo.power(ctx2.maximal_ideal(), 2)
-    Q = mo.minimalize(2, [(2, 0), (0, 2)])
-    token = iv.MEMO.set({})
-    try:
-        assert iv.reduction_number(ctx2, Q, I, cap=3) == 1
-        assert _stored_reduction_numbers() == []
-        assert iv.reduction_number(ctx2, Q, I) == 1
-        assert _stored_reduction_numbers() == [(ctx2, Q, I)]
-    finally:
-        iv.MEMO.reset(token)
 
 
 # ------------------------------------------------------------ one power walk
@@ -327,10 +324,10 @@ def test_the_least_step_wins_then_the_first_sample(ctx2):
     general = gb.random_minimal_reduction(list(Ig.gens), 2, Ig.ring, rng_seed=0).gens
     own = Ig.gens  # I itself: reduction number 0
     x2 = [{(2, 0): 1}]  # no reduction
-    assert iv._least_full_rank([x2, general, own, own], ctx2.char_p, m2, 3) == (0, 2)
-    assert iv._least_full_rank([x2, general, general], ctx2.char_p, m2, 3) == (1, 1)
+    assert iv._least_full_rank([x2, general, own, own], ctx2.char_p, m2) == (0, 2)
+    assert iv._least_full_rank([x2, general, general], ctx2.char_p, m2) == (1, 1)
     with pytest.raises(gb.CapExceeded):
-        iv._least_full_rank([x2], ctx2.char_p, m2, 3)
+        iv._least_full_rank([x2], ctx2.char_p, m2)
 
 
 def test_no_samples_find_no_reduction(ctx2):
