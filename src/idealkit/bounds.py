@@ -117,7 +117,7 @@ def check_cor_e1para(ctx, Q, I):
     In Gorenstein contexts the colon colength equals e0(I) - lam(R/I), giving
     the second form of the bound; the identity itself is asserted too.  Where
     invariants.colon_colength takes linkage (a poly context, a d-generated Q
-    termwise inside a monomial I), the colon colength is lam(R/Q) - lam(R/I),
+    that I contains, in either engine), the colon colength is lam(R/Q) - lam(R/I),
     so the witness gorenstein_identity_ok tests lam(R/Q) = e0(I).  For a
     parameter ideal in a Cohen-Macaulay ring lam(R/Q) = e(Q), so that is Q
     being a reduction of I by Rees's theorem; it no longer tests the colon.
@@ -269,7 +269,7 @@ def check_lemma_3_2(ctx, Q, I):
     """nu(I) <= lam(R/Q) for a parameter ideal Q = (x) in a dim-1 semigroup ring."""
     if ctx.kind != "semigroup":
         raise ValueError("lemma 3.2 checker is one-dimensional")
-    hyps = [("x_in_semigroup", len(Q.gens) == 1 and not Q.member(0))]
+    hyps = [("x_in_semigroup", len(Q.gens) == 1 and not Q.is_unit)]
     lam_x = Q.colength()
     nu_i = I.nu()
     s = Q.order()

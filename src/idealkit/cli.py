@@ -60,15 +60,6 @@ def _build_ring(spec):
 FORM_KINDS = {"monomial": "poly", "polynomials": "poly", "exponents": "semigroup"}
 
 
-# the ideal is the whole local ring: its staircase is 0 at the origin, it
-# holds t^0, or a generator has a nonzero constant term (a unit at the origin)
-IS_UNIT = {
-    monomial.MonomialIdeal: lambda I: I.is_unit,
-    semigroup.SemigroupIdeal: lambda I: I.member(0),
-    groebner.GroebnerIdeal: lambda I: any(not any(exp) for g in I.gens for exp in g),
-}
-
-
 def _vector(ctx, v):
     """An exponent vector of the poly ring ctx: ctx.dim nonnegative integers."""
     if not (isinstance(v, list) and len(v) == ctx.dim
@@ -103,7 +94,7 @@ def _build_ideal(data, rings, ideals, spec):
                          for v in spec["data"]["extra"]])
     else:
         raise InputError(f"unknown ideal form {form!r}")
-    if IS_UNIT[type(I)](I):
+    if I.is_unit:
         raise InputError("the ideal is the whole ring, not an m-primary ideal")
     return ctx, I
 

@@ -187,8 +187,6 @@ def buchberger(gens, ring):
             push_pair(i, j)
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         lcm = _exp_lcm(lts[i], lts[j])
         # product criterion: coprime leading terms
@@ -258,6 +256,11 @@ class GroebnerIdeal:
     def contains(self, f):
         return not normal_form(self.ring.normalize(f), self.lead_pairs, self.ring)
 
+    @property
+    def is_unit(self):
+        """Some generator has a nonzero constant term: a unit at the origin."""
+        return any(not any(exp) for g in self.gens for exp in g)
+
     def initial_ideal(self):
         return monomial.minimalize(self.ring.nvars, [lt for lt, _ in self.lead_pairs])
 
@@ -289,7 +292,8 @@ class GroebnerIdeal:
             GroebnerIdeal(self.ring, self.gens + other.gens))
 
     def member(self, v):
-        return self.contains({v: 1})
+        """The monomial x^v, or the polynomial v (a term dict), lies in the ideal."""
+        return self.contains(v if isinstance(v, dict) else {v: 1})
 
     def integral_over(self, v):
         raise TypeError("integral closures need the monomial engines")

@@ -9,16 +9,19 @@ f_0..f_{d-1}, and computes reduction numbers, minimal reductions and related
 integers.  Everything is exact.
 
 The ideal protocol: monomial.MonomialIdeal, semigroup.SemigroupIdeal and
-groebner.GroebnerIdeal all have the methods colength() (local for GF(p)),
-nu(), order(), product(J), colon(J) = (I : J), contains_ideal(J)
-(J in I), equals(J), member(g) (the monomial g lies in I), integral_over(g),
-extend(extra) (I plus the monomials in extra) and descriptor() (generators as
-JSON-ready nested tuples).  A GF(p) ideal raises TypeError for nu, order and
-integral_over, and lifts a monomial argument of colon, contains_ideal and
-equals into its own ring; a monomial ideal raises TypeError when member,
-contains_ideal or colon is given a polynomial or a GF(p) ideal.  Each method
-calls its engine's module function by name when it runs, so the module
-functions remain the implementation.
+groebner.GroebnerIdeal all have the property is_unit (I is the whole local
+ring) and the methods colength() (local for GF(p)), nu(), order(),
+product(J), colon(J) = (I : J), contains_ideal(J) (J in I), equals(J),
+member(g) (the monomial g lies in I; in a poly ring g may also be a
+polynomial, as a term dict), integral_over(g), extend(extra) (I plus the
+monomials in extra) and descriptor() (generators as JSON-ready nested
+tuples).  A GF(p) ideal raises TypeError for nu, order and integral_over, and
+lifts a monomial argument of colon, contains_ideal and equals into its own
+ring; a monomial ideal tests a polynomial, or a GF(p) ideal's generators,
+termwise in contains_ideal and member, and raises TypeError when colon is
+given a GF(p) ideal, whose colon need not be monomial.  Each method calls its
+engine's module function by name when it runs, so the module functions remain
+the implementation.
 
 The checkers ask for the same invariants of J and I = J + (h) again and again,
 so the functions marked @_memoized compute once per battery: run_battery opens
@@ -229,12 +232,6 @@ def _polynomials(ctx, Q):
     return [{u: 1} for u in Q.gens], ctx.char_p
 
 
-def _contains_termwise(I, qs):
-    """The polynomials qs lie in the monomial ideal I: a polynomial lies in a
-    monomial ideal iff each of its terms does."""
-    return all(I.member(u) for q in qs for u in q)
-
-
 def colon_colength(ctx, Q, I):
     """lam(R/(Q:I)), by linkage when Q is a parameter ideal inside I.
 
@@ -243,15 +240,13 @@ def colon_colength(ctx, Q, I):
     (Q:I)/Q = Hom(R/I, R/Q) has length lam(R/I) for every Q in I.  Hence
     lam(R/(Q:I)) = lam(R/Q) - lam(R/I) (Peskine-Szpiro 1974; Bruns-Herzog,
     Cohen-Macaulay Rings, ch. 3): one local colength of Q, no colon ideal.
-    That needs a poly context, len(Q.gens) == d and a monomial I holding every
-    term of Q's generators; anything else takes the engine's colon.  A
-    semigroup ring need not be Gorenstein (<4,7,9> is not symmetric), so its
-    closed-form colon stays.  Every colon colength of the checkers and the
-    batteries comes through here.
+    That needs a poly context, len(Q.gens) == d and I containing Q, in any
+    pair of engines; Q.colength() refuses a Q that is not m-primary.
+    Anything else takes the engine's colon.  A semigroup ring need not be
+    Gorenstein (<4,7,9> is not symmetric), so its closed-form colon stays.
+    Every colon colength of the checkers and the batteries comes through here.
     """
-    if (ctx.kind == "poly" and len(Q.gens) == ctx.dim
-            and isinstance(I, monomial.MonomialIdeal)
-            and _contains_termwise(I, _polynomials(ctx, Q)[0])):
+    if ctx.kind == "poly" and len(Q.gens) == ctx.dim and I.contains_ideal(Q):
         return Q.colength() - I.colength()
     return Q.colon(I).colength()
 
@@ -273,9 +268,9 @@ def reduction_number(ctx, Q, I):
         return groebner.reduction_number(to_groebner(ctx, Q), I)
     if isinstance(I, semigroup.SemigroupIdeal):
         return _dimension_one_walk(Q, I)[0]
-    qs, p = _polynomials(ctx, Q)
-    if not _contains_termwise(I, qs):
+    if not I.contains_ideal(Q):
         raise ValueError("Q is not contained in I")
+    qs, p = _polynomials(ctx, Q)
     return _least_full_rank([qs], p, I)[0]
 
 

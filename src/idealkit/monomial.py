@@ -75,19 +75,21 @@ class MonomialIdeal:
         return newton(self)
 
     def member(self, v):
-        """x^v lies in the ideal: h at the cell of v, clipped to the box, is at most v_d."""
+        """x^v lies in the ideal: h at the cell of v, clipped to the box, is at
+        most v_d.  A polynomial (a term dict) lies in it iff each of its terms
+        does; an m-primary monomial ideal is contracted from R_m, so this is
+        membership at the origin too."""
         if isinstance(v, dict):
-            raise TypeError("a monomial ideal tests exponent vectors, not polynomials; "
-                            "give both ideals in one form")
+            return all(map(self.member, v))
         h = self.heights
         cell = tuple(min(a, n - 1) for a, n in zip(v[:-1], h.shape)) or 0  # d = 1: one cell
         return int(h[cell]) <= v[-1]
 
     def contains_ideal(self, other):
-        """other lies in the ideal: h is at most other's heights everywhere."""
+        """other lies in the ideal: h is at most other's heights everywhere, or
+        each generator of a GF(p) ideal other is a member."""
         if not isinstance(other, MonomialIdeal):
-            raise TypeError(f"a monomial ideal cannot compare with a {type(other).__name__}; "
-                            "give both ideals in one form")
+            return all(map(self.member, other.gens))
         mine, theirs = _common(self, other)
         return bool((mine <= theirs).all())
 

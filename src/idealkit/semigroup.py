@@ -95,6 +95,11 @@ class SemigroupIdeal:
         return tuple(sorted(a for a in self.floors
                             if not any(b < a and H.contains(a - b) for b in self.floors)))
 
+    @property
+    def is_unit(self):
+        """The ideal holds t^0."""
+        return self.floors[0] == 0
+
     # The ideal protocol (see invariants): methods call module functions by name.
 
     def colength(self):

@@ -179,6 +179,46 @@ def test_thm_3_1_unit_ideal_has_order_zero(ctx2):
         assert (rep.status, rep.lhs, rep.rhs, rep.witness["order"]) == ("verified", 0, 0, 0)
 
 
+def test_sampled_reduction_bound_when_the_criterion_hits_the_cap():
+    # rm3-5-43 of random_monomial_d3 at seed 5: nu(I^n) >= C(n+3, 3) up to the
+    # cap, so the bound is the best of 8 sampled reductions, not certified
+    ctx = iv.poly_context(3)
+    I = mo.minimalize(3, [(0, 0, 4), (0, 3, 1), (0, 4, 0), (1, 2, 1), (4, 0, 0)])
+    with pytest.raises(gb.CapExceeded):
+        iv.nu_power_criterion(ctx, I)
+    rep = bd.check_thm_3_1(ctx, I, seed=5000058)
+    assert (rep.status, rep.lhs, rep.rhs) == ("verified", 6, 43)
+    assert rep.witness == {"e0_I": 64, "order": 4, "red_upper_bound": 6,
+                           "bound_certified": False, "nu_power_bound": None,
+                           "sampled_red": 6, "samples_tried": 8}
+
+
+def _stub_report(status):
+    return bd.BoundReport("stub", (), 0, 0, status != "violated", 0, {}, status)
+
+
+@pytest.mark.parametrize("status, first, second, want, primes", [
+    ("unresolved", "unresolved", "verified", "second", [gb.DEFAULT_PRIME, ins.SECOND_PRIME]),
+    ("unresolved", "violated", None, "first", [gb.DEFAULT_PRIME]),
+    ("unresolved", "unresolved", "unresolved", "original",
+     [gb.DEFAULT_PRIME, ins.SECOND_PRIME]),
+    ("verified", None, None, "original", []),
+])
+def test_retry_unresolved_takes_the_first_settled_rerun(status, first, second, want, primes):
+    original = _stub_report(status)
+    reruns = {"first": first and _stub_report(first),
+              "second": second and _stub_report(second)}
+    asked = []
+
+    def rerun(char_p):
+        asked.append(char_p)
+        return reruns["first" if len(asked) == 1 else "second"]
+
+    got = ins._retry_unresolved(original, rerun)
+    assert got is (original if want == "original" else reruns[want])
+    assert asked == primes
+
+
 def test_lemma_3_2():
     H = sg.semigroup([4, 7, 9])
     ctx = iv.semigroup_context(H)

@@ -206,9 +206,13 @@ def test_ideal_protocol_agrees_with_gfp_lift():
     assert Ig.product(Ig).colength() == I.product(I).colength()
     assert Jg.product(Ig).equals(Ig.product(Ig)) == J.product(I).equals(I.product(I))
     assert Ig.equals(I) and not Jg.equals(I)
-    for call in (lambda: I.contains_ideal(Jg), lambda: I.member(Jg.gens[0])):
-        with pytest.raises(TypeError, match="one form"):
-            call()
+    # a monomial ideal reads polynomials and GF(p) ideals termwise
+    assert I.contains_ideal(Jg) and Ig.contains_ideal(Jg)
+    assert not J.contains_ideal(Ig) and not Jg.contains_ideal(Ig)
+    for f in (Jg.gens[0], {(2, 1): 1, (0, 3): 5}, {(2, 1): 1, (1, 1): 1}):
+        assert I.member(f) == Ig.member(f) == all(map(I.member, f))
+    with pytest.raises(TypeError, match="one form"):
+        I.colon(Jg)
     assert I.descriptor() == I.gens
     assert Ig.descriptor() == tuple(((g, 1),) for g in I.gens)
     for method in ("nu", "order"):
